@@ -28,11 +28,11 @@ from demorgan.fixtures import ch3, frm5
 
 def describe(name, F):
     print(f"{name}: {len(F.elements)} elements")
-    print("  De Morgan algebra:", is_de_morgan_algebra(F.algebra))
-    print("  Boolean algebra:", is_boolean_algebra(F.algebra))
+    print("  De Morgan algebra:", is_de_morgan_algebra(F))
+    print("  Boolean algebra:", is_boolean_algebra(F))
     print("  extremally disconnected:", is_extremally_disconnected(F))
     print("  almost discrete:", is_almost_discrete(F))
-    print("  regular elements:", sorted(regular_elements(F.algebra).elements))
+    print("  regular elements:", sorted(regular_elements(F).elements))
 
 
 F = ch3()
@@ -61,7 +61,7 @@ j, quotient = demorganize_frame(G)
 print("\nDeMorganization nucleus:", dict(sorted(j.table.items())))
 print("dense:", is_dense_nucleus(G, j))
 print("fixset:", sorted(quotient.elements))
-print("fixset is Boolean:", is_boolean_algebra(quotient.algebra))
+print("fixset is Boolean:", is_boolean_algebra(quotient))
 print("fixset equals fixset(open nucleus on {x,y}):",
       sorted(fixset(G, j).elements) == sorted(quotient.elements))
 

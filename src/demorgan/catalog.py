@@ -23,7 +23,6 @@ import itertools
 from typing import Iterable
 
 from .fincat import FiniteCategory
-from .frames import Frame
 from .heyting import HeytingAlgebra
 
 _OBJ_NAMES = tuple("abcdefgh")
@@ -163,7 +162,9 @@ def enumerate_heyting_algebras(max_size: int = 8) -> tuple:
 
 
 def enumerate_frames(max_size: int = 8) -> tuple:
-    return tuple(Frame(H) for H in enumerate_heyting_algebras(max_size))
+    """All finite frames with at most ``max_size`` elements: the finite
+    Heyting algebras."""
+    return enumerate_heyting_algebras(max_size)
 
 
 # -- quivers ------------------------------------------------------------------

@@ -22,7 +22,9 @@ Frame documents::
 with the reflexive-transitive closure implied.
 
 Exit codes: 0 the command ran (decision results are payload), 2 the
-input was invalid, 3 an enumeration bound was exceeded.
+input or the arguments were invalid, 3 an enumeration bound was
+exceeded, 4 ``report``'s decision routes disagreed (the payload is
+still printed).
 """
 
 from __future__ import annotations
@@ -32,16 +34,22 @@ import json
 import sys
 
 from .errors import BoundExceeded, InputError, ParseError
-from .fincat import FiniteCategory, is_mono, right_ore, validate_category
+from .fincat import (
+    FiniteCategory,
+    is_mono,
+    ore_counterexample,
+    right_ore,
+    validate_category,
+)
 from .frames import (
-    Frame,
     demorganize_frame,
     enumerate_nuclei,
-    frame_from_poset,
     is_almost_discrete,
     is_extremally_disconnected,
 )
 from .heyting import (
+    HeytingAlgebra,
+    from_poset,
     has_boolean_property,
     has_de_morgan_property,
     is_boolean_algebra,
@@ -86,15 +94,17 @@ def _load_json(path: str):
         ) from exc
 
 
-def _covers_from_data(C: FiniteCategory, covers_data) -> GrothendieckTopology:
+def _covers_from_data(
+    C: FiniteCategory, covers_data, max_arrows_into: int
+) -> GrothendieckTopology:
     seeds = []
     for obj, gen_lists in covers_data.items():
         for gens in gen_lists:
             seeds.append(generate_sieve(C, obj, gens))
-    return generate_topology(C, seeds)
+    return generate_topology(C, seeds, max_arrows_into=max_arrows_into)
 
 
-def parse_site(path: str):
+def parse_site(path: str, *, max_arrows_into: int = 16):
     """Read a site document; returns (category, topology or None)."""
     data = _load_json(path)
     if not isinstance(data, dict) or "objects" not in data:
@@ -102,15 +112,15 @@ def parse_site(path: str):
     C = validate_category(data)
     J = None
     if "covers" in data:
-        J = _covers_from_data(C, data["covers"])
+        J = _covers_from_data(C, data["covers"], max_arrows_into)
     return C, J
 
 
-def parse_frame(path: str) -> Frame:
+def parse_frame(path: str) -> HeytingAlgebra:
     data = _load_json(path)
     if not isinstance(data, dict) or "elements" not in data:
         raise ParseError(f"{path}: not a frame document (no 'elements')")
-    return frame_from_poset(data["elements"], [tuple(p) for p in data["leq"]])
+    return from_poset(data["elements"], [tuple(p) for p in data["leq"]])
 
 
 def topology_to_data(J: GrothendieckTopology) -> dict:
@@ -159,18 +169,25 @@ def _topology_lines(J: GrothendieckTopology):
     return lines
 
 
-def _resolve_topology(C, J_from_file, spec: str | None):
+def _resolve_topology(C, J_from_file, spec: str | None, max_arrows_into: int):
     if spec is None:
         return J_from_file if J_from_file is not None else trivial_topology(C)
     if spec == "trivial":
         return trivial_topology(C)
     if spec == "dense":
-        return dense_topology(C)
+        return dense_topology(C, max_arrows_into=max_arrows_into)
     if spec == "demorgan":
-        return demorgan_topology(C)
+        return demorgan_topology(C, max_arrows_into=max_arrows_into)
     data = _load_json(spec)
     covers = data["covers"] if isinstance(data, dict) and "covers" in data else data
-    return _covers_from_data(C, covers)
+    return _covers_from_data(C, covers, max_arrows_into)
+
+
+def _site(args):
+    """The category and the topology named by ``args.topology``."""
+    C, J_file = parse_site(args.site, max_arrows_into=args.max_sieve_arrows)
+    J = _resolve_topology(C, J_file, args.topology, args.max_sieve_arrows)
+    return C, J
 
 
 def _writeback(args, C, J):
@@ -181,7 +198,7 @@ def _writeback(args, C, J):
 # -- subcommand implementations ------------------------------------------------
 
 def _cmd_validate(args):
-    C, J = parse_site(args.site)
+    C, J = parse_site(args.site, max_arrows_into=args.max_sieve_arrows)
     payload = {
         "objects": len(C.objects),
         "arrows": len(C.arrows),
@@ -204,36 +221,21 @@ def _cmd_validate(args):
 
 
 def _cmd_ore(args):
-    C, _ = parse_site(args.site)
-    result = right_ore(C)
+    C, _ = parse_site(args.site, max_arrows_into=args.max_sieve_arrows)
+    found = ore_counterexample(C)
     witness = None
-    if not result:
-        names = sorted(C.arrows)
-        for f in names:
-            for g in names:
-                if C.cod(f) != C.cod(g):
-                    continue
-                if not any(
-                    C.dom(u) == C.dom(v)
-                    and C.compose(u, f) == C.compose(v, g)
-                    for u in C.arrows_into(C.dom(f))
-                    for v in C.arrows_into(C.dom(g))
-                ):
-                    witness = {"f": f, "g": g}
-                    break
-            if witness:
-                break
-    lines = [str(result).lower()]
-    if witness:
+    lines = [str(found is None).lower()]
+    if found is not None:
+        witness = {"f": found[0], "g": found[1]}
         lines.append(
-            f"witness: cospan ({witness['f']}, {witness['g']}) has no "
-            f"completing square"
+            f"witness: cospan ({found[0]}, {found[1]}) has no completing "
+            f"square"
         )
-    return _emit({"result": result, "witness": witness}, args, lines)
+    return _emit({"result": found is None, "witness": witness}, args, lines)
 
 
 def _cmd_sieves(args):
-    C, _ = parse_site(args.site)
+    C, _ = parse_site(args.site, max_arrows_into=args.max_sieve_arrows)
     found = enumerate_sieves(
         C, args.object, max_arrows_into=args.max_sieve_arrows
     )
@@ -261,20 +263,21 @@ def _cmd_topology_validate(args):
     return _emit({"valid": True}, args, ["valid"])
 
 
-def _cmd_topology_generate(args):
-    C, J = parse_site(args.site)
-    if J is None:
-        J = trivial_topology(C)
+def _cmd_show_topology(args):
+    """``topology generate``, ``dense-topology`` and ``demorgan-topology``:
+    the topology named by ``args.topology`` (default: the site's own)."""
+    C, J = _site(args)
     _writeback(args, C, J)
     return _emit(
         {"covers": topology_to_data(J)}, args,
-        ["generated topology:"] + _topology_lines(J),
+        [f"{args.title}:"] + _topology_lines(J),
     )
 
 
 def _cmd_topology_compare(args):
-    C1, J1 = parse_site(args.site)
-    C2, J2 = parse_site(args.other)
+    bound = args.max_sieve_arrows
+    C1, J1 = parse_site(args.site, max_arrows_into=bound)
+    C2, J2 = parse_site(args.other, max_arrows_into=bound)
     if J1 is None:
         J1 = trivial_topology(C1)
     if J2 is None:
@@ -294,29 +297,8 @@ def _cmd_topology_compare(args):
     )
 
 
-def _cmd_dense(args):
-    C, _ = parse_site(args.site)
-    J = dense_topology(C, max_arrows_into=args.max_sieve_arrows)
-    _writeback(args, C, J)
-    return _emit(
-        {"covers": topology_to_data(J)}, args,
-        ["dense topology:"] + _topology_lines(J),
-    )
-
-
-def _cmd_demorgan_topology(args):
-    C, _ = parse_site(args.site)
-    J = demorgan_topology(C, max_arrows_into=args.max_sieve_arrows)
-    _writeback(args, C, J)
-    return _emit(
-        {"covers": topology_to_data(J)}, args,
-        ["De Morgan topology:"] + _topology_lines(J),
-    )
-
-
-def _decision(args, kind: str):
-    C, J_file = parse_site(args.site)
-    J = _resolve_topology(C, J_file, args.topology)
+def _decision(args):
+    C, J = _site(args)
     bound = args.max_sieve_arrows
     methods = {
         ("demorgan", "general"): is_demorgan_general,
@@ -326,12 +308,12 @@ def _decision(args, kind: str):
         ("boolean", "reduced"): is_boolean_reduced,
         ("boolean", "oracle"): oracle_is_boolean,
     }
-    result = methods[(kind, args.method)](C, J, max_arrows_into=bound)
+    result = methods[(args.law, args.method)](C, J, max_arrows_into=bound)
     witness = None
     lines = [str(result).lower()]
     if not result:
         finder = (
-            demorgan_counterexample if kind == "demorgan"
+            demorgan_counterexample if args.law == "demorgan"
             else boolean_counterexample
         )
         found = finder(C, J, max_arrows_into=bound)
@@ -355,41 +337,14 @@ def _decision(args, kind: str):
     )
 
 
-def _cmd_is_demorgan(args):
-    return _decision(args, "demorgan")
-
-
-def _cmd_is_boolean(args):
-    return _decision(args, "boolean")
-
-
-def _cmd_demorganize(args):
-    C, J_file = parse_site(args.site)
-    J = _resolve_topology(C, J_file, args.topology)
-    K = demorganize_site(C, J, max_arrows_into=args.max_sieve_arrows)
+def _cmd_repair(args):
+    """``demorganize`` and ``booleanize``: ``args.repair`` of the site."""
+    C, J = _site(args)
+    K = args.repair(C, J, max_arrows_into=args.max_sieve_arrows)
     _writeback(args, K.category, K)
     lines = [
         f"reduced category objects: {', '.join(sorted(K.category.objects))}",
-        "DeMorganized topology:",
-    ] + _topology_lines(K)
-    return _emit(
-        {
-            "objects": sorted(K.category.objects),
-            "covers": topology_to_data(K),
-        },
-        args,
-        lines,
-    )
-
-
-def _cmd_booleanize(args):
-    C, J_file = parse_site(args.site)
-    J = _resolve_topology(C, J_file, args.topology)
-    K = booleanize_site(C, J, max_arrows_into=args.max_sieve_arrows)
-    _writeback(args, K.category, K)
-    lines = [
-        f"reduced category objects: {', '.join(sorted(K.category.objects))}",
-        "Booleanized topology:",
+        f"{args.title}:",
     ] + _topology_lines(K)
     return _emit(
         {
@@ -402,7 +357,7 @@ def _cmd_booleanize(args):
 
 
 def _cmd_enumerate(args):
-    C, _ = parse_site(args.site)
+    C, _ = parse_site(args.site, max_arrows_into=args.max_sieve_arrows)
     tops = enumerate_topologies(
         C,
         max_nonidentity_arrows=args.max_enum_arrows,
@@ -417,8 +372,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_heyting_check(args):
-    F = parse_frame(args.frame)
-    H = F.algebra
+    H = parse_frame(args.frame)
     payload = {
         "elements": len(H),
         "de_morgan_algebra": is_de_morgan_algebra(H),
@@ -463,8 +417,8 @@ def _cmd_frame_demorganize(args):
 def _cmd_frame_classify(args):
     F = parse_frame(args.frame)
     payload = {
-        "de_morgan": is_de_morgan_algebra(F.algebra),
-        "boolean": is_boolean_algebra(F.algebra),
+        "de_morgan": is_de_morgan_algebra(F),
+        "boolean": is_boolean_algebra(F),
         "extremally_disconnected": is_extremally_disconnected(F),
         "almost_discrete": is_almost_discrete(F),
     }
@@ -473,8 +427,7 @@ def _cmd_frame_classify(args):
 
 
 def _cmd_report(args):
-    C, J_file = parse_site(args.site)
-    J = _resolve_topology(C, J_file, args.topology)
+    C, J = _site(args)
     bound = args.max_sieve_arrows
     ore = right_ore(C)
     dm = {
@@ -489,6 +442,7 @@ def _cmd_report(args):
     }
     nec = no_empty_covers(J)
     counter = countroc_witness(C, J) if nec else None
+    agree = len(set(dm.values())) == 1 and len(set(bl.values())) == 1
     payload = {
         "objects": len(C.objects),
         "arrows": len(C.arrows),
@@ -496,7 +450,7 @@ def _cmd_report(args):
         "no_empty_covers": nec,
         "de_morgan": dm,
         "boolean": bl,
-        "methods_agree": len(set(dm.values())) == 1 and len(set(bl.values())) == 1,
+        "methods_agree": agree,
         "non_de_morgan_witness": list(counter) if counter else None,
     }
     lines = [
@@ -513,22 +467,39 @@ def _cmd_report(args):
             f"non-De-Morgan witness: object {counter[0]}, arrows "
             f"({counter[1]}, {counter[2]})"
         )
-    if not payload["methods_agree"]:  # pragma: no cover - methods always agree
-        lines.append("WARNING: decision methods disagree")
-    return _emit(payload, args, lines)
+    _emit(payload, args, lines)
+    if agree:
+        return 0
+    print("error: decision methods disagree", file=sys.stderr)
+    return 4
 
 
 def _cmd_is_mono(args):
-    C, _ = parse_site(args.site)
+    C, _ = parse_site(args.site, max_arrows_into=args.max_sieve_arrows)
     result = is_mono(C, args.arrow)
     return _emit({"result": result}, args, [str(result).lower()])
 
 
 # -- parser --------------------------------------------------------------------
 
+def _bound(text: str) -> int:
+    """A bound flag's value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_common(p, site=True, output=False, topology=False):
     if site:
         p.add_argument("site", help="site document (JSON)")
+        p.add_argument(
+            "--max-sieve-arrows", type=_bound, default=16, metavar="N",
+            help="per-object sieve enumeration bound (default 16)",
+        )
     if topology:
         p.add_argument(
             "--topology",
@@ -538,18 +509,6 @@ def _add_common(p, site=True, output=False, topology=False):
     if output:
         p.add_argument("-o", "--output", help="write the result as JSON")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument(
-        "--max-sieve-arrows", type=int, default=16, metavar="N",
-        help="per-object sieve enumeration bound (default 16)",
-    )
-    p.add_argument(
-        "--max-enum-arrows", type=int, default=6, metavar="N",
-        help="non-identity arrow bound for topology enumeration (default 6)",
-    )
-    p.add_argument(
-        "--max-frame-elements", type=int, default=8, metavar="N",
-        help="frame size bound for nucleus enumeration (default 8)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,44 +545,52 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=_cmd_topology_validate)
     q = tsub.add_parser("generate", help="saturate the covers into a topology")
     _add_common(q, output=True)
-    q.set_defaults(fn=_cmd_topology_generate)
+    q.set_defaults(
+        fn=_cmd_show_topology, topology=None, title="generated topology"
+    )
     q = tsub.add_parser("compare", help="compare two topologies on one category")
     _add_common(q)
     q.add_argument("other", help="second site document")
     q.set_defaults(fn=_cmd_topology_compare)
 
-    p = sub.add_parser("dense-topology", help="the stably-non-empty coverage")
-    _add_common(p, output=True)
-    p.set_defaults(fn=_cmd_dense)
+    for name, spec, title, desc in [
+        ("dense-topology", "dense", "dense topology",
+         "the stably-non-empty coverage"),
+        ("demorgan-topology", "demorgan", "De Morgan topology",
+         "the least De Morgan coverage"),
+    ]:
+        p = sub.add_parser(name, help=desc)
+        _add_common(p, output=True)
+        p.set_defaults(fn=_cmd_show_topology, topology=spec, title=title)
 
-    p = sub.add_parser("demorgan-topology", help="the least De Morgan coverage")
-    _add_common(p, output=True)
-    p.set_defaults(fn=_cmd_demorgan_topology)
+    for law, desc in [
+        ("demorgan", "does the sheaf topos satisfy De Morgan's law"),
+        ("boolean", "is the sheaf topos Boolean"),
+    ]:
+        p = sub.add_parser(f"is-{law}", help=desc)
+        _add_common(p, topology=True)
+        p.add_argument(
+            "--method", choices=["general", "reduced", "oracle"],
+            default="general",
+        )
+        p.set_defaults(fn=_decision, law=law)
 
-    p = sub.add_parser("is-demorgan", help="does the sheaf topos satisfy De Morgan's law")
-    _add_common(p, topology=True)
-    p.add_argument(
-        "--method", choices=["general", "reduced", "oracle"], default="general"
-    )
-    p.set_defaults(fn=_cmd_is_demorgan)
-
-    p = sub.add_parser("is-boolean", help="is the sheaf topos Boolean")
-    _add_common(p, topology=True)
-    p.add_argument(
-        "--method", choices=["general", "reduced", "oracle"], default="general"
-    )
-    p.set_defaults(fn=_cmd_is_boolean)
-
-    p = sub.add_parser("demorganize", help="smallest De Morgan topology above the input")
-    _add_common(p, output=True, topology=True)
-    p.set_defaults(fn=_cmd_demorganize)
-
-    p = sub.add_parser("booleanize", help="smallest Boolean topology above the input")
-    _add_common(p, output=True, topology=True)
-    p.set_defaults(fn=_cmd_booleanize)
+    for name, repair, title, desc in [
+        ("demorganize", demorganize_site, "DeMorganized topology",
+         "smallest De Morgan topology above the input"),
+        ("booleanize", booleanize_site, "Booleanized topology",
+         "smallest Boolean topology above the input"),
+    ]:
+        p = sub.add_parser(name, help=desc)
+        _add_common(p, output=True, topology=True)
+        p.set_defaults(fn=_cmd_repair, repair=repair, title=title)
 
     p = sub.add_parser("enumerate-topologies", help="all topologies on the category")
     _add_common(p)
+    p.add_argument(
+        "--max-enum-arrows", type=_bound, default=6, metavar="N",
+        help="non-identity arrow bound for topology enumeration (default 6)",
+    )
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("heyting", help="Heyting algebra checks")
@@ -644,6 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("frame", help="frame document (JSON)")
         _add_common(q, site=False)
         q.set_defaults(fn=fn)
+        if name == "nuclei":
+            q.add_argument(
+                "--max-frame-elements", type=_bound, default=8, metavar="N",
+                help="frame size bound for nucleus enumeration (default 8)",
+            )
 
     p = sub.add_parser("report", help="full report for a site")
     _add_common(p, topology=True)

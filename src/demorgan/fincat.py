@@ -419,8 +419,10 @@ def is_mono(C: FiniteCategory, r: str) -> bool:
     return True
 
 
-def right_ore(C: FiniteCategory) -> bool:
-    """Whether every cospan f: a -> c <- b :g completes to a square.
+def ore_counterexample(C: FiniteCategory):
+    """A cospan f: a -> c <- b :g with no completing square, as the
+    names ``(f, g)``, or None when ``C`` satisfies the right Ore
+    condition.
 
     Brute force over all candidate pairs (u, v) with u;f == v;g.
     """
@@ -436,5 +438,10 @@ def right_ore(C: FiniteCategory) -> bool:
                 for v in C._into[C._dom[g]]
                 if C._dom[u] == C._dom[v]
             ):
-                return False
-    return True
+                return C._anames[f], C._anames[g]
+    return None
+
+
+def right_ore(C: FiniteCategory) -> bool:
+    """Whether every cospan f: a -> c <- b :g completes to a square."""
+    return ore_counterexample(C) is None

@@ -9,7 +9,7 @@ cospans.
 from __future__ import annotations
 
 from .fincat import FiniteCategory
-from .frames import Frame, frame_from_poset
+from .heyting import HeytingAlgebra, from_poset
 
 
 def discrete(n: int) -> FiniteCategory:
@@ -147,35 +147,35 @@ def category_fixtures() -> dict:
     }
 
 
-def ch2() -> Frame:
+def ch2() -> HeytingAlgebra:
     """The two-element frame."""
-    return frame_from_poset(["0", "1"], [("0", "1")])
+    return from_poset(["0", "1"], [("0", "1")])
 
 
-def ch3() -> Frame:
+def ch3() -> HeytingAlgebra:
     """The three-element chain 0 < m < 1."""
-    return frame_from_poset(["0", "m", "1"], [("0", "m"), ("m", "1")])
+    return from_poset(["0", "m", "1"], [("0", "m"), ("m", "1")])
 
 
-def ch4() -> Frame:
+def ch4() -> HeytingAlgebra:
     """The four-element chain."""
-    return frame_from_poset(
+    return from_poset(
         ["0", "u", "v", "1"], [("0", "u"), ("u", "v"), ("v", "1")]
     )
 
 
-def bool4() -> Frame:
+def bool4() -> HeytingAlgebra:
     """The four-element Boolean algebra."""
-    return frame_from_poset(
+    return from_poset(
         ["0", "x", "y", "1"],
         [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")],
     )
 
 
-def frm5() -> Frame:
+def frm5() -> HeytingAlgebra:
     """Downsets of the poset x < z > y: the least frame that fails the
     De Morgan law."""
-    return frame_from_poset(
+    return from_poset(
         ["0", "{x}", "{y}", "{x,y}", "1"],
         [
             ("0", "{x}"),

@@ -1,7 +1,9 @@
 """Finite frames and their nuclei.
 
 A finite frame is a finite Heyting algebra viewed as the open-set
-lattice of a point-free space.  Nuclei (inflationary, idempotent,
+lattice of a point-free space, so frames are plain
+:class:`~demorgan.heyting.HeytingAlgebra` values (completeness is
+automatic from finiteness).  Nuclei (inflationary, idempotent,
 meet-preserving endomaps) stand for the quotients of the frame; the
 open and closed nuclei on an element, density, closure and the
 dense-closed factorization all live here, together with the quotient
@@ -24,73 +26,12 @@ from .errors import (
 from .heyting import HeytingAlgebra, from_poset
 
 
-class Frame:
-    """A finite frame; completeness is automatic from finiteness."""
-
-    __slots__ = ("algebra",)
-
-    def __init__(self, algebra: HeytingAlgebra):
-        self.algebra = algebra
-
-    @property
-    def elements(self):
-        return self.algebra.elements
-
-    @property
-    def bottom(self):
-        return self.algebra.bottom
-
-    @property
-    def top(self):
-        return self.algebra.top
-
-    def leq(self, a, b):
-        return self.algebra.leq(a, b)
-
-    def meet(self, a, b):
-        return self.algebra.meet(a, b)
-
-    def join(self, a, b):
-        return self.algebra.join(a, b)
-
-    def implication(self, a, b):
-        return self.algebra.implication(a, b)
-
-    def negation(self, a):
-        return self.algebra.negation(a)
-
-    def meet_all(self, xs):
-        return self.algebra.meet_all(xs)
-
-    def join_all(self, xs):
-        return self.algebra.join_all(xs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return self.algebra == other.algebra
-
-    def __hash__(self):
-        return hash(self.algebra)
-
-    def __len__(self):
-        return len(self.algebra)
-
-    def __repr__(self):
-        return f"Frame({len(self.algebra)} elements)"
-
-
-def frame_from_poset(elements, leq=None) -> Frame:
-    """Convenience wrapper: close the relation and wrap the algebra."""
-    return Frame(from_poset(elements, leq))
-
-
 class Nucleus:
     """An inflationary idempotent meet-preserving endomap of a frame."""
 
     __slots__ = ("frame", "table", "_items")
 
-    def __init__(self, frame: Frame, table: Mapping[str, str]):
+    def __init__(self, frame: HeytingAlgebra, table: Mapping[str, str]):
         self.frame = frame
         self.table = dict(table)
         self._items = tuple(sorted(self.table.items()))
@@ -122,7 +63,7 @@ class Nucleus:
         return f"Nucleus({body})"
 
 
-def validate_nucleus(F: Frame, table: Mapping[str, str]) -> Nucleus:
+def validate_nucleus(F: HeytingAlgebra, table: Mapping[str, str]) -> Nucleus:
     """Check the three nucleus laws, naming a witness on failure."""
     for a in F.elements:
         if a not in table:
@@ -147,28 +88,28 @@ def validate_nucleus(F: Frame, table: Mapping[str, str]) -> Nucleus:
     return Nucleus(F, table)
 
 
-def identity_nucleus(F: Frame) -> Nucleus:
+def identity_nucleus(F: HeytingAlgebra) -> Nucleus:
     return Nucleus(F, {a: a for a in F.elements})
 
 
-def top_nucleus(F: Frame) -> Nucleus:
+def top_nucleus(F: HeytingAlgebra) -> Nucleus:
     top = F.top
     return Nucleus(F, {a: top for a in F.elements})
 
 
-def open_nucleus(F: Frame, a: str) -> Nucleus:
+def open_nucleus(F: HeytingAlgebra, a: str) -> Nucleus:
     """x maps to a -> x."""
-    F.algebra._i(a)
+    F._i(a)
     return Nucleus(F, {x: F.implication(a, x) for x in F.elements})
 
 
-def closed_nucleus(F: Frame, a: str) -> Nucleus:
+def closed_nucleus(F: HeytingAlgebra, a: str) -> Nucleus:
     """x maps to a join x."""
-    F.algebra._i(a)
+    F._i(a)
     return Nucleus(F, {x: F.join(a, x) for x in F.elements})
 
 
-def _nucleus_from_fixset(F: Frame, fixed: frozenset) -> Nucleus:
+def _nucleus_from_fixset(F: HeytingAlgebra, fixed: frozenset) -> Nucleus:
     """The nucleus sending a to the least fixed element above it."""
     table = {}
     for a in F.elements:
@@ -176,7 +117,7 @@ def _nucleus_from_fixset(F: Frame, fixed: frozenset) -> Nucleus:
     return Nucleus(F, table)
 
 
-def enumerate_nuclei(F: Frame, *, max_size: int = 8) -> tuple:
+def enumerate_nuclei(F: HeytingAlgebra, *, max_size: int = 8) -> tuple:
     """All nuclei of ``F``.
 
     Candidate fixsets are the subsets containing the top element that
@@ -208,24 +149,24 @@ def enumerate_nuclei(F: Frame, *, max_size: int = 8) -> tuple:
     return tuple(out)
 
 
-def fixset(F: Frame, j: Nucleus) -> Frame:
+def fixset(F: HeytingAlgebra, j: Nucleus) -> HeytingAlgebra:
     """The frame of fixpoints of ``j`` (meets inherited, joins via j)."""
     carrier = [a for a in F.elements if j(a) == a]
     pairs = [(a, b) for a in carrier for b in carrier if F.leq(a, b)]
-    return frame_from_poset(carrier, pairs)
+    return from_poset(carrier, pairs)
 
 
-def is_dense_nucleus(F: Frame, j: Nucleus) -> bool:
+def is_dense_nucleus(F: HeytingAlgebra, j: Nucleus) -> bool:
     """Whether ``j`` fixes the bottom element."""
     return j(F.bottom) == F.bottom
 
 
-def closure_nucleus(F: Frame, j: Nucleus) -> Nucleus:
+def closure_nucleus(F: HeytingAlgebra, j: Nucleus) -> Nucleus:
     """The closed nucleus on j(0); the closure of the sublocale of j."""
     return closed_nucleus(F, j(F.bottom))
 
 
-def dense_closed_factorization(F: Frame, j: Nucleus):
+def dense_closed_factorization(F: HeytingAlgebra, j: Nucleus):
     """Split ``j`` as a closed part followed by a dense residual.
 
     Returns ``(c, d)`` where ``c`` is the closed nucleus on j(0) acting
@@ -238,20 +179,20 @@ def dense_closed_factorization(F: Frame, j: Nucleus):
     return closed_part, residual
 
 
-def filter_generated(F: Frame, S: Iterable[str]) -> frozenset:
+def filter_generated(F: HeytingAlgebra, S: Iterable[str]) -> frozenset:
     """Upward closure of all finite meets of ``S``; principal since the
     frame is finite.  An empty ``S`` gives the trivial filter."""
     a = F.meet_all(S)
     return frozenset(x for x in F.elements if F.leq(a, x))
 
 
-def quotient_by_filter(F: Frame, S: Iterable[str]) -> Nucleus:
+def quotient_by_filter(F: HeytingAlgebra, S: Iterable[str]) -> Nucleus:
     """The frame quotient collapsing the filter generated by ``S`` to
     the top, realized as the open nucleus on the meet of ``S``."""
     return open_nucleus(F, F.meet_all(S))
 
 
-def demorganize_frame(F: Frame):
+def demorganize_frame(F: HeytingAlgebra):
     """Quotient by the filter generated by {u join not u : u regular}.
 
     Returns the (dense) nucleus and its fixset, the largest dense
@@ -265,7 +206,7 @@ def demorganize_frame(F: Frame):
     return j, fixset(F, j)
 
 
-def is_extremally_disconnected(F: Frame) -> bool:
+def is_extremally_disconnected(F: HeytingAlgebra) -> bool:
     """Whether the closure of every open nucleus is again open."""
     opens = {tuple(sorted(open_nucleus(F, b).table.items())) for b in F.elements}
     for a in F.elements:
@@ -275,7 +216,7 @@ def is_extremally_disconnected(F: Frame) -> bool:
     return True
 
 
-def is_almost_discrete(F: Frame) -> bool:
+def is_almost_discrete(F: HeytingAlgebra) -> bool:
     """Whether every open nucleus is a closed nucleus."""
     closeds = {
         tuple(sorted(closed_nucleus(F, b).table.items())) for b in F.elements
@@ -286,14 +227,14 @@ def is_almost_discrete(F: Frame) -> bool:
     )
 
 
-def nucleus_meet(F: Frame, j: Nucleus, k: Nucleus) -> Nucleus:
+def nucleus_meet(F: HeytingAlgebra, j: Nucleus, k: Nucleus) -> Nucleus:
     """Meet in the lattice of nuclei; computed pointwise."""
     return validate_nucleus(
         F, {a: F.meet(j(a), k(a)) for a in F.elements}
     )
 
 
-def nucleus_join(F: Frame, j: Nucleus, k: Nucleus) -> Nucleus:
+def nucleus_join(F: HeytingAlgebra, j: Nucleus, k: Nucleus) -> Nucleus:
     """Join in the lattice of nuclei; the nucleus whose fixset is the
     intersection of the two fixsets."""
     fixed = frozenset(

@@ -22,7 +22,6 @@ from .errors import (
     BoundExceeded,
     CategoryMismatch,
     EmptyReduction,
-    Error,
     InputError,
     NotMaximalClosed,
     NotStable,
@@ -30,7 +29,7 @@ from .errors import (
     NotTransitive,
     UnknownObject,
 )
-from .fincat import FiniteCategory, right_ore
+from .fincat import FiniteCategory
 from .sieves import Sieve, _b_mask, _m_mask, _to_mask, check_sieve
 
 
@@ -129,16 +128,20 @@ def _covers_in(C: FiniteCategory, J: GrothendieckTopology):
 
 # -- axiom checking ----------------------------------------------------------
 
-def _stability_witness(C, masks):
+def _stability_violations(C, masks):
+    """Yield (ci, S, f) for each cover S on ci whose pullback along f
+    is not covering."""
     for ci in range(len(masks)):
-        for S in masks[ci]:
+        # a snapshot, since the caller may add covers while suspended
+        for S in tuple(masks[ci]):
             for f in C._into[ci]:
                 if C._pull(f, S) not in masks[C._dom[f]]:
-                    return ci, S, f
-    return None
+                    yield ci, S, f
 
 
-def _transitivity_witness(C, masks, all_sieves):
+def _transitivity_violations(C, masks, all_sieves):
+    """Yield (ci, R, S) for each non-covering R on ci whose pullback
+    along every arrow of some cover S is covering."""
     for ci in range(len(masks)):
         cset = masks[ci]
         for R in all_sieves[ci]:
@@ -146,20 +149,20 @@ def _transitivity_witness(C, masks, all_sieves):
                 continue
             for S in cset:
                 rest = S
-                ok = True
                 while rest:
                     bit = rest & -rest
                     rest ^= bit
                     h = bit.bit_length() - 1
                     if C._pull(h, R) not in masks[C._dom[h]]:
-                        ok = False
                         break
-                if ok:
-                    return ci, R, S
-    return None
+                else:
+                    yield ci, R, S
+                    break
 
 
-def _superset_witness(C, masks, all_sieves):
+def _superset_violations(C, masks, all_sieves):
+    """Yield (ci, T, S) for each non-covering T on ci that contains a
+    cover S."""
     for ci in range(len(masks)):
         cset = masks[ci]
         for T in all_sieves[ci]:
@@ -167,8 +170,8 @@ def _superset_witness(C, masks, all_sieves):
                 continue
             for S in cset:
                 if not S & ~T:
-                    return ci, T, S
-    return None
+                    yield ci, T, S
+                    break
 
 
 def _check_axioms(C, masks, all_sieves):
@@ -179,9 +182,7 @@ def _check_axioms(C, masks, all_sieves):
                 f"the maximal sieve on {C.objects[ci]!r} is not covering",
                 witness=(C.objects[ci],),
             )
-    w = _stability_witness(C, masks)
-    if w is not None:
-        ci, S, f = w
+    for ci, S, f in _stability_violations(C, masks):
         raise NotStable(
             f"pullback of a covering sieve on {C.objects[ci]!r} along "
             f"{C._anames[f]!r} is not covering",
@@ -191,9 +192,7 @@ def _check_axioms(C, masks, all_sieves):
                 C._anames[f],
             ),
         )
-    w = _transitivity_witness(C, masks, all_sieves)
-    if w is not None:
-        ci, R, S = w
+    for ci, R, S in _transitivity_violations(C, masks, all_sieves):
         raise NotTransitive(
             f"a sieve on {C.objects[ci]!r} is locally covering but not "
             f"covering",
@@ -203,9 +202,7 @@ def _check_axioms(C, masks, all_sieves):
                 Sieve(C.objects[ci], C._mask_to_members(S)),
             ),
         )
-    w = _superset_witness(C, masks, all_sieves)
-    if w is not None:
-        ci, T, S = w
+    for ci, T, S in _superset_violations(C, masks, all_sieves):
         raise NotSupersetClosed(
             f"a superset of a covering sieve on {C.objects[ci]!r} is not "
             f"covering",
@@ -267,46 +264,18 @@ def _generate_masks(C, seeds, max_arrows_into):
     masks = [
         {C._into_mask[ci]} | set(seeds[ci]) for ci in range(len(C.objects))
     ]
-    into, dom = C._into, C._dom
     changed = True
     while changed:
         changed = False
-        for ci in range(len(masks)):
-            cset = masks[ci]
-            for T in all_sieves[ci]:
-                if T in cset:
-                    continue
-                if any(not S & ~T for S in cset):
-                    cset.add(T)
-                    changed = True
-        for ci in range(len(masks)):
-            for S in list(masks[ci]):
-                for f in into[ci]:
-                    pm = C._pull(f, S)
-                    dset = masks[dom[f]]
-                    if pm not in dset:
-                        dset.add(pm)
-                        changed = True
-        for ci in range(len(masks)):
-            cset = masks[ci]
-            for R in all_sieves[ci]:
-                if R in cset:
-                    continue
-                for S in cset:
-                    rest = S
-                    ok = True
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        if C._pull(bit.bit_length() - 1, R) not in masks[
-                            dom[bit.bit_length() - 1]
-                        ]:
-                            ok = False
-                            break
-                    if ok:
-                        cset.add(R)
-                        changed = True
-                        break
+        for ci, T, _ in _superset_violations(C, masks, all_sieves):
+            masks[ci].add(T)
+            changed = True
+        for ci, S, f in _stability_violations(C, masks):
+            masks[C._dom[f]].add(C._pull(f, S))
+            changed = True
+        for ci, R, _ in _transitivity_violations(C, masks, all_sieves):
+            masks[ci].add(R)
+            changed = True
     return tuple(frozenset(s) for s in masks)
 
 
@@ -402,7 +371,6 @@ def dense_topology(
                 if all(m & gen[f] for f in incoming)
             }
         )
-    _check_axioms(C, masks, _all_sieves(C, max_arrows_into))
     return GrothendieckTopology(C, masks)
 
 
@@ -488,10 +456,6 @@ def reduced_site(
             if (cmask | rmask[ci]) in J._masks[ci]:
                 cov.add(St)
         masks_t.append(cov)
-    try:
-        _check_axioms(Ct, masks_t, _all_sieves(Ct, max_arrows_into))
-    except InputError as exc:  # pragma: no cover - guards the construction
-        raise Error(f"induced topology failed validation: {exc}") from exc
     return Ct, GrothendieckTopology(Ct, masks_t)
 
 
@@ -630,37 +594,18 @@ def is_boolean_reduced(
     max_arrows_into: int = 16,
 ) -> bool:
     """Excluded-middle test on the reduced site: b_sieve(R) must cover
-    for every closed sieve R.
-
-    When the reduced category satisfies the right Ore condition the
-    result is cross-checked against the shortcut "the only non-empty
-    closed sieves are maximal".
-    """
+    for every closed sieve R."""
     try:
         Ct, Jt = reduced_site(C, J, max_arrows_into=max_arrows_into)
     except EmptyReduction:
         # sheaves on the empty site form the degenerate topos
         return True
     cov_masks = Jt._masks
-    result = True
-    for ci in range(len(Ct.objects)):
-        for R in _closed_masks(Ct, cov_masks, ci, max_arrows_into):
-            if _b_mask(Ct, ci, R) not in cov_masks[ci]:
-                result = False
-                break
-        if not result:
-            break
-    if right_ore(Ct):
-        shortcut = all(
-            R == 0 or R == Ct._into_mask[ci]
-            for ci in range(len(Ct.objects))
-            for R in _closed_masks(Ct, cov_masks, ci, max_arrows_into)
-        )
-        if shortcut != result:  # pragma: no cover - theorem guard
-            raise Error(
-                "right-Ore Boolean shortcut disagrees with b-sieve criterion"
-            )
-    return result
+    return all(
+        _b_mask(Ct, ci, R) in cov_masks[ci]
+        for ci in range(len(Ct.objects))
+        for R in _closed_masks(Ct, cov_masks, ci, max_arrows_into)
+    )
 
 
 def demorganize_site(
@@ -686,27 +631,13 @@ def booleanize_site(
     max_arrows_into: int = 16,
 ) -> GrothendieckTopology:
     """Smallest topology above the (reduced) input whose sheaf topos is
-    Boolean; lives on the reduced category.
-
-    Also verifies that the dense topology coincides with the topology
-    generated by all b-sieves.
-    """
+    Boolean; lives on the reduced category."""
     Ct, Jt = reduced_site(C, J, max_arrows_into=max_arrows_into)
-    dense = dense_topology(Ct, max_arrows_into=max_arrows_into)
-    seeds = []
-    for ci in range(len(Ct.objects)):
-        seeds.append(
-            {
-                _b_mask(Ct, ci, m)
-                for m in Ct._sieve_masks(ci, max_arrows_into)
-            }
-        )
-    from_b = GrothendieckTopology(
-        Ct, _generate_masks(Ct, seeds, max_arrows_into)
+    return join_topology(
+        Jt,
+        dense_topology(Ct, max_arrows_into=max_arrows_into),
+        max_arrows_into=max_arrows_into,
     )
-    if from_b != dense:  # pragma: no cover - theorem guard
-        raise Error("dense topology differs from the b-sieve generated one")
-    return join_topology(Jt, dense, max_arrows_into=max_arrows_into)
 
 
 def _upsets_containing_top(sieves, top):
@@ -762,14 +693,12 @@ def enumerate_topologies(
     ]
     if prod(len(u) for u in per_object) > 2_000_000:
         raise BoundExceeded("the lattice of topologies is too large")
-    out = []
-    for combo in itertools.product(*per_object):
-        if _stability_witness(C, combo) is not None:
-            continue
-        if _transitivity_witness(C, combo, all_sieves) is not None:
-            continue
-        out.append(GrothendieckTopology(C, combo))
-    return tuple(out)
+    return tuple(
+        GrothendieckTopology(C, combo)
+        for combo in itertools.product(*per_object)
+        if next(_stability_violations(C, combo), None) is None
+        and next(_transitivity_violations(C, combo, all_sieves), None) is None
+    )
 
 
 def countroc_witness(

@@ -81,24 +81,28 @@ def naive_is_mono(C, r):
     return True
 
 
+def naive_completes(C, f, g):
+    """Whether the cospan (f, g) has a square u;f == v;g."""
+    arrows = sorted(C.arrows)
+    for u in arrows:
+        for v in arrows:
+            if C.cod(u) != C.dom(f) or C.cod(v) != C.dom(g):
+                continue
+            if C.dom(u) != C.dom(v):
+                continue
+            if C.compose(u, f) == C.compose(v, g):
+                return True
+    return False
+
+
 def naive_right_ore(C):
     arrows = sorted(C.arrows)
-    for f in arrows:
-        for g in arrows:
-            if C.cod(f) != C.cod(g):
-                continue
-            completed = False
-            for u in arrows:
-                for v in arrows:
-                    if C.cod(u) != C.dom(f) or C.cod(v) != C.dom(g):
-                        continue
-                    if C.dom(u) != C.dom(v):
-                        continue
-                    if C.compose(u, f) == C.compose(v, g):
-                        completed = True
-            if not completed:
-                return False
-    return True
+    return all(
+        naive_completes(C, f, g)
+        for f in arrows
+        for g in arrows
+        if C.cod(f) == C.cod(g)
+    )
 
 
 def all_sieves_on(C, c):

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from demorgan.errors import InputError
 from demorgan.fincat import right_ore
 from demorgan.fixtures import category_fixtures, frm5
 from demorgan.heyting import (
@@ -50,6 +51,7 @@ from demorgan.topology import (
     leq_topology,
     no_empty_covers,
     trivial_topology,
+    validate_topology,
 )
 
 
@@ -93,7 +95,10 @@ def test_criterion_02_demorgan_iff_demorgan_topology_below(site_enumeration):
 def test_criterion_03_boolean_iff_dense_below(site_enumeration):
     t0 = time.time()
     mism = 0
-    for C, tops in site_enumeration:
+    # The fixtures add the commutative square: the one reduced category
+    # of a fixture or catalog site that the catalog does not contain.
+    fixture_sites = [(C, ()) for C in category_fixtures().values()]
+    for C, tops in list(site_enumeration) + fixture_sites:
         D = dense_topology(C)
         seeds = [
             b_sieve(C, S) for obj in C.objects for S in all_sieves(C, obj)
@@ -174,17 +179,15 @@ def test_criterion_08_frame_demorganization_least_dense(frame_catalog):
     t0 = time.time()
     mism = 0
     spot = demorganize_frame(frm5())
-    if len(spot[1]) != 4 or not is_boolean_algebra(spot[1].algebra):
+    if len(spot[1]) != 4 or not is_boolean_algebra(spot[1]):
         mism += 1
     for F in frame_catalog:
         j, q = demorganize_frame(F)
-        if not is_dense_nucleus(F, j) or not is_de_morgan_algebra(q.algebra):
+        if not is_dense_nucleus(F, j) or not is_de_morgan_algebra(q):
             mism += 1
             continue
         for k in enumerate_nuclei(F):
-            if is_dense_nucleus(F, k) and is_de_morgan_algebra(
-                fixset(F, k).algebra
-            ):
+            if is_dense_nucleus(F, k) and is_de_morgan_algebra(fixset(F, k)):
                 if not j.leq(k):
                     mism += 1
     report(8, "frame DeMorganization is the least dense nucleus", mism, t0)
@@ -195,10 +198,14 @@ def test_criterion_09_frame_site_bridge():
     mism = 0
     for F in enumerate_frames(6):
         C, J = frame_as_site(F)
-        dm = is_de_morgan_algebra(F.algebra)
+        try:
+            validate_topology(C, J)
+        except InputError:
+            mism += 1
+        dm = is_de_morgan_algebra(F)
         if not (dm == is_extremally_disconnected(F) == is_demorgan_general(C, J)):
             mism += 1
-        bl = is_boolean_algebra(F.algebra)
+        bl = is_boolean_algebra(F)
         if not (bl == is_almost_discrete(F) == is_boolean_general(C, J)):
             mism += 1
     report(9, "frame laws match site decisions and topology", mism, t0)

@@ -204,6 +204,52 @@ def test_report_command(capsys):
     assert payload["non_de_morgan_witness"] == ["c", "f", "g"]
 
 
+def test_report_route_disagreement_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "demorgan.cli.oracle_is_demorgan", lambda C, J, **kw: True
+    )
+    code, out, err = run(
+        capsys, "report", DATA / "cspan.json", "--topology", "trivial", "--json"
+    )
+    assert code == 4
+    assert json.loads(out)["methods_agree"] is False
+    assert "disagree" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ore", DATA / "cspan.json", "--max-enum-arrows", "3"),
+    ("report", DATA / "cspan.json", "--max-frame-elements", "3"),
+    ("frame", "classify", DATA / "frm5.json", "--max-frame-elements", "3"),
+    ("heyting", "check", DATA / "frm5.json", "--max-sieve-arrows", "3"),
+])
+def test_inapplicable_bound_flag_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("sieves", "c", DATA / "cspan.json", "--max-sieve-arrows", "-1"),
+    ("enumerate-topologies", DATA / "cspan.json", "--max-enum-arrows", "-1"),
+    ("frame", "nuclei", DATA / "ch3.json", "--max-frame-elements", "-1"),
+])
+def test_negative_bound_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_sieve_bound_reaches_site_covers(capsys):
+    # cspan_fg.json lists covers on c, which has three incoming arrows
+    for argv in (
+        ("validate", DATA / "cspan_fg.json"),
+        ("topology", "generate", DATA / "cspan_fg.json"),
+    ):
+        code, _, err = run(capsys, *argv, "--max-sieve-arrows", "2")
+        assert code == 3 and "bound" in err
+
+
 def test_site_to_data_covers_sorted():
     C, J = parse_site(str(DATA / "cspan_fg.json"))
     data = site_to_data(C, J)

@@ -12,11 +12,12 @@ from demorgan.fincat import (
     FiniteCategory,
     arrows_into,
     is_mono,
+    ore_counterexample,
     right_ore,
     validate_category,
 )
 
-from oracles import naive_is_mono, naive_right_ore
+from oracles import naive_completes, naive_is_mono, naive_right_ore
 
 CSPAN_RAW = {
     "objects": ["a", "b", "c"],
@@ -133,6 +134,17 @@ def test_right_ore_matches_exhaustive_search(fixtures, catalog3):
         assert right_ore(C) == naive_right_ore(C)
     for C in catalog3[:60]:
         assert right_ore(C) == naive_right_ore(C)
+
+
+def test_ore_counterexample_matches_brute_force(fixtures, catalog3):
+    assert ore_counterexample(fixtures["cspan"]) == ("f", "g")
+    for C in list(fixtures.values()) + list(catalog3):
+        found = ore_counterexample(C)
+        assert (found is None) == naive_right_ore(C)
+        if found is not None:
+            f, g = found
+            assert C.cod(f) == C.cod(g)
+            assert not naive_completes(C, f, g)
 
 
 def test_category_equality_ignores_declaration_order():

@@ -169,7 +169,7 @@ def test_demorganize_frame_examples():
     j5, q5 = demorganize_frame(FRM5)
     assert j5 == open_nucleus(FRM5, "{x,y}")
     assert len(q5) == 4
-    assert is_boolean_algebra(q5.algebra)
+    assert is_boolean_algebra(q5)
     jb, _ = demorganize_frame(bool4())
     assert jb.is_identity()
 
@@ -178,13 +178,13 @@ def test_demorganize_contract_over_catalog():
     for F in enumerate_frames(6):
         j, q = demorganize_frame(F)
         assert is_dense_nucleus(F, j)
-        assert is_de_morgan_algebra(q.algebra)
+        assert is_de_morgan_algebra(q)
 
 
 def test_classifications_match_laws_over_catalog():
     for F in enumerate_frames(8):
-        assert is_extremally_disconnected(F) == is_de_morgan_algebra(F.algebra)
-        assert is_almost_discrete(F) == is_boolean_algebra(F.algebra)
+        assert is_extremally_disconnected(F) == is_de_morgan_algebra(F)
+        assert is_almost_discrete(F) == is_boolean_algebra(F)
 
 
 def test_classification_examples():

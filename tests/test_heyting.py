@@ -22,9 +22,9 @@ from demorgan.heyting import (
     regular_elements,
 )
 
-CH3 = ch3().algebra
-FRM5 = frm5().algebra
-BOOL4 = bool4().algebra
+CH3 = ch3()
+FRM5 = frm5()
+BOOL4 = bool4()
 TWO = from_poset(["0", "1"], [("0", "1")])
 ONE = from_poset(["*"], [])
 

@@ -8,7 +8,13 @@ from demorgan.errors import (
     NotStable,
 )
 from demorgan.fincat import right_ore
-from demorgan.sieves import Sieve, empty_sieve, generate_sieve, maximal_sieve
+from demorgan.sieves import (
+    Sieve,
+    empty_sieve,
+    enumerate_sieves,
+    generate_sieve,
+    maximal_sieve,
+)
 from demorgan.topology import (
     booleanize_site,
     closure_of_sieve,
@@ -250,6 +256,40 @@ def test_reduced_site_idempotent_over_enumeration(fixtures):
             assert no_empty_covers(Jt)
             Ct2, Jt2 = reduced_site(Ct, Jt)
             assert Ct2 is Ct and Jt2 is Jt
+
+
+def test_reduced_sites_validate_over_catalog(site_enumeration):
+    # the induced topology of every reduced catalog site is a topology
+    for C, tops in site_enumeration:
+        for J in tops:
+            try:
+                Ct, Jt = reduced_site(C, J)
+            except EmptyReduction:
+                continue
+            assert validate_topology(Ct, Jt) == Jt
+
+
+def test_right_ore_boolean_shortcut_over_catalog(site_enumeration):
+    # on a right Ore reduced site the topos is Boolean exactly when every
+    # closed sieve is empty or maximal
+    checked = 0
+    for C, tops in site_enumeration:
+        for J in tops:
+            try:
+                Ct, Jt = reduced_site(C, J)
+            except EmptyReduction:
+                continue
+            if not right_ore(Ct):
+                continue
+            checked += 1
+            shortcut = all(
+                not R.members or R.members == Ct.arrows_into(c)
+                for c in Ct.objects
+                for R in enumerate_sieves(Ct, c)
+                if is_closed(Ct, Jt, R)
+            )
+            assert is_boolean_reduced(C, J) == shortcut
+    assert checked
 
 
 def test_empty_reduction_raises(fixtures):
