@@ -8,8 +8,14 @@ Three enumerations back the property suites:
   realized as the downset lattices of the posets of their
   join-irreducibles, so one canonical poset per algebra;
 * finite categories with a bounded number of non-identity arrows,
-  realized as composition tables over canonical quivers and
-  deduplicated by a canonical form.
+  realized as composition tables over canonical quivers.  Each table
+  is keyed by its canonical form before it is built, so only one
+  category per isomorphism class is constructed and validated.
+
+All three canonical forms are the least encoding over the relabelings
+that preserve a permutation-invariant key of each element
+(``_least_relabeling``); a quiver's form is that of its empty
+composition table.
 
 Isolated objects are omitted from the category catalog (every
 predicate in this package factors over disjoint unions and an isolated
@@ -23,17 +29,13 @@ import itertools
 from typing import Iterable
 
 from .fincat import FiniteCategory
-from .heyting import HeytingAlgebra
+from .heyting import HeytingAlgebra, inclusion_order, transpose
 
 _OBJ_NAMES = tuple("abcdefgh")
 _ARR_NAMES = ("f", "g", "h", "k", "l", "m", "n", "p")
 
 
-# -- posets -------------------------------------------------------------------
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
+# -- relabeling search --------------------------------------------------------
 
 def _class_permutations(keys):
     """All permutations of range(len(keys)) preserving the key classes.
@@ -60,16 +62,20 @@ def _class_permutations(keys):
         yield perm
 
 
+def _least_relabeling(keys, encode):
+    """The least ``encode(perm)`` over the permutations that preserve
+    the key classes of ``keys``."""
+    return min(encode(perm) for perm in _class_permutations(keys))
+
+
+# -- posets -------------------------------------------------------------------
+
 def canonical_poset(down: Iterable[int]) -> tuple:
     """A permutation-invariant key for a poset given by down-set masks."""
     down = tuple(down)
     n = len(down)
-    up = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if down[j] >> i & 1:
-                up[i] |= 1 << j
-    base = [(_popcount(down[i]), _popcount(up[i])) for i in range(n)]
+    up = transpose(down)
+    base = [(down[i].bit_count(), up[i].bit_count()) for i in range(n)]
     keys = [
         (
             base[i],
@@ -78,8 +84,8 @@ def canonical_poset(down: Iterable[int]) -> tuple:
         )
         for i in range(n)
     ]
-    best = None
-    for perm in _class_permutations(keys):
+
+    def encode(perm):
         relabeled = [0] * n
         for i in range(n):
             mask = 0
@@ -89,10 +95,9 @@ def canonical_poset(down: Iterable[int]) -> tuple:
                 rest ^= bit
                 mask |= 1 << perm[bit.bit_length() - 1]
             relabeled[perm[i]] = mask
-        key = tuple(relabeled)
-        if best is None or key < best:
-            best = key
-    return best if best is not None else ()
+        return tuple(relabeled)
+
+    return _least_relabeling(keys, encode)
 
 
 def downsets_of_poset(down: Iterable[int]) -> tuple:
@@ -148,15 +153,7 @@ def enumerate_heyting_algebras(max_size: int = 8) -> tuple:
             continue
         masks = sorted(dsets)
         names = [f"v{m}" for m in masks]
-        pos = {m: i for i, m in enumerate(masks)}
-        downs = []
-        for m in masks:
-            acc = 0
-            for other in masks:
-                if not other & ~m:
-                    acc |= 1 << pos[other]
-            downs.append(acc)
-        out.append(HeytingAlgebra(names, downs))
+        out.append(HeytingAlgebra(names, inclusion_order(masks)))
     out.sort(key=len)
     return tuple(out)
 
@@ -169,28 +166,14 @@ def enumerate_frames(max_size: int = 8) -> tuple:
 
 # -- quivers ------------------------------------------------------------------
 
-def _canonical_quiver(n: int, edges: tuple) -> tuple:
-    keys = []
-    for v in range(n):
-        loops = sum(1 for u, w in edges if u == v and w == v)
-        out = sum(1 for u, _ in edges if u == v)
-        inc = sum(1 for _, w in edges if w == v)
-        keys.append((loops, out, inc))
-    best = None
-    for perm in _class_permutations(keys):
-        relabeled = tuple(sorted((perm[u], perm[w]) for u, w in edges))
-        if best is None or relabeled < best:
-            best = relabeled
-    return (n, best if best is not None else ())
-
-
 def _enumerate_quivers(max_edges: int) -> dict:
     """Directed multigraphs without isolated vertices, keyed by edge
-    count, up to isomorphism."""
-    levels = {0: {(0, ())}}
+    count, up to isomorphism, as the keys of their empty composition
+    tables."""
+    levels = {0: {(0, (), ())}}
     for m in range(1, max_edges + 1):
         seen = set()
-        for n, edges in levels[m - 1]:
+        for n, edges, _ in levels[m - 1]:
             for u in range(n + 2):
                 for w in range(n + 2):
                     used = {u, w}
@@ -198,7 +181,7 @@ def _enumerate_quivers(max_edges: int) -> dict:
                     if n + 1 in used and n not in used:
                         continue
                     n2 = max(n, max(used) + 1)
-                    seen.add(_canonical_quiver(n2, edges + ((u, w),)))
+                    seen.add(_table_key(n2, edges + ((u, w),), {}))
         levels[m] = seen
     return levels
 
@@ -281,66 +264,52 @@ def _build_category(n: int, edges: tuple, table: dict) -> FiniteCategory:
     return FiniteCategory(objects, arrows, compose)
 
 
-def _category_key(C: FiniteCategory) -> tuple:
-    nonid = [C._arrow_index(a) for a in C.non_identity_arrows()]
-    m = len(nonid)
-    n = len(C.objects)
-    dom = [C._dom[f] for f in nonid]
-    cod = [C._cod[f] for f in nonid]
-    obj_keys = []
-    for o in range(n):
-        loops = sum(1 for e in range(m) if dom[e] == o and cod[e] == o)
-        out = sum(1 for e in range(m) if dom[e] == o)
-        inc = sum(1 for e in range(m) if cod[e] == o)
-        obj_keys.append((loops, out, inc))
-    best = None
-    for sigma in _class_permutations(obj_keys):
-        edge_keys = [(sigma[dom[e]], sigma[cod[e]]) for e in range(m)]
-        order = sorted(range(m), key=lambda e: edge_keys[e])
-        groups = [
-            list(g)
-            for _, g in itertools.groupby(order, key=lambda e: edge_keys[e])
-        ]
-        for arrangement in itertools.product(
-            *(itertools.permutations(g) for g in groups)
-        ):
-            new_order = [e for group in arrangement for e in group]
-            rank = {old: i for i, old in enumerate(new_order)}
-            enc_edges = tuple(edge_keys[e] for e in new_order)
-            enc_comp = []
-            for a in new_order:
-                for b in new_order:
-                    if cod[a] != dom[b]:
-                        continue
-                    res = C._comp[nonid[a]][nonid[b]]
-                    code = (
-                        rank[nonid.index(res)] if res in nonid else m
-                    )
-                    enc_comp.append((rank[a], rank[b], code))
-            key = (n, enc_edges, tuple(sorted(enc_comp)))
-            if best is None or key < best:
-                best = key
-    return best if best is not None else (n, (), ())
+def _table_key(n: int, edges: tuple, table: dict) -> tuple:
+    """Canonical form of the category with ``n`` objects, the quiver
+    ``edges`` and the composition ``table`` of ``_composition_tables``.
+
+    Objects are relabeled within their (loops, out, in) degree classes,
+    then edges within their classes of parallel edges; composites that
+    are identities encode as ``len(edges)``.
+    """
+    m = len(edges)
+    degrees = [
+        (
+            sum(1 for u, w in edges if u == v and w == v),
+            sum(1 for u, _ in edges if u == v),
+            sum(1 for _, w in edges if w == v),
+        )
+        for v in range(n)
+    ]
+
+    def encode_objects(sigma):
+        ends = [(sigma[u], sigma[w]) for u, w in edges]
+        quiver = tuple(sorted(ends))
+
+        def encode_edges(rank):
+            comp = sorted(
+                (rank[a], rank[b], rank[c] if c < m else m)
+                for (a, b), c in table.items()
+            )
+            return n, quiver, tuple(comp)
+
+        return _least_relabeling(ends, encode_edges)
+
+    return _least_relabeling(degrees, encode_objects)
 
 
 def enumerate_categories(max_arrows: int = 4) -> tuple:
     """All finite categories with at most ``max_arrows`` non-identity
     arrows and no isolated objects, up to isomorphism, plus the one-
     and two-object discrete categories."""
-    out = []
+    out = [FiniteCategory(["a"]), FiniteCategory(["a", "b"])]
     seen = set()
-    discrete1 = FiniteCategory(["a"])
-    discrete2 = FiniteCategory(["a", "b"])
-    for C in (discrete1, discrete2):
-        out.append(C)
-        seen.add(_category_key(C))
     quivers = _enumerate_quivers(max_arrows)
     for medges in range(1, max_arrows + 1):
-        for n, edges in sorted(quivers[medges]):
+        for n, edges, _ in sorted(quivers[medges]):
             for table in _composition_tables(n, edges):
-                C = _build_category(n, edges, table)
-                key = _category_key(C)
+                key = _table_key(n, edges, table)
                 if key not in seen:
                     seen.add(key)
-                    out.append(C)
+                    out.append(_build_category(n, edges, table))
     return tuple(out)

@@ -19,7 +19,8 @@ Frame documents::
 
     {"elements": ["0", "m", "1"], "leq": [["0", "m"], ["m", "1"]]}
 
-with the reflexive-transitive closure implied.
+with the reflexive-transitive closure implied.  A document whose
+fields have any other shape is refused (exit code 2).
 
 Exit codes: 0 the command ran (decision results are payload), 2 the
 input or the arguments were invalid, 3 an enumeration bound was
@@ -94,6 +95,69 @@ def _load_json(path: str):
         ) from exc
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _records(*fields):
+    return lambda value: isinstance(value, list) and all(
+        isinstance(entry, dict)
+        and all(isinstance(entry.get(f), str) for f in fields)
+        for entry in value
+    )
+
+
+def _pairs(value) -> bool:
+    return isinstance(value, list) and all(
+        _strings(pair) and len(pair) == 2 for pair in value
+    )
+
+
+def _covers(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(gen_lists, list) and all(map(_strings, gen_lists))
+        for gen_lists in value.values()
+    )
+
+
+# The shape of each field a document may carry, and how to describe it.
+_SITE_FIELDS = {
+    "objects": (_strings, "a list of names"),
+    "arrows": (
+        _records("name", "dom", "cod"), "a list of {name, dom, cod} records"
+    ),
+    "compose": (
+        _records("first", "then", "equals"),
+        "a list of {first, then, equals} records",
+    ),
+    "covers": (_covers, "a mapping from objects to lists of generator lists"),
+}
+_FRAME_FIELDS = {
+    "elements": (_strings, "a list of names"),
+    "leq": (_pairs, "a list of [lower, upper] pairs"),
+}
+
+
+def _check_document(path: str, data, kind: str, fields: dict, required=()):
+    """Refuse ``data`` unless it is a mapping holding every required
+    field and every field it holds has its shape in ``fields``."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: not a {kind} document (not a JSON object)")
+    for name in required:
+        if name not in data:
+            raise ParseError(f"{path}: not a {kind} document (no {name!r})")
+    for name, (ok, expected) in fields.items():
+        if name in data and not ok(data[name]):
+            raise ParseError(f"{path}: {name!r} must be {expected}")
+    return data
+
+
+def _load_site(path: str) -> dict:
+    return _check_document(
+        path, _load_json(path), "site", _SITE_FIELDS, ("objects",)
+    )
+
+
 def _covers_from_data(
     C: FiniteCategory, covers_data, max_arrows_into: int
 ) -> GrothendieckTopology:
@@ -106,9 +170,7 @@ def _covers_from_data(
 
 def parse_site(path: str, *, max_arrows_into: int = 16):
     """Read a site document; returns (category, topology or None)."""
-    data = _load_json(path)
-    if not isinstance(data, dict) or "objects" not in data:
-        raise ParseError(f"{path}: not a site document (no 'objects')")
+    data = _load_site(path)
     C = validate_category(data)
     J = None
     if "covers" in data:
@@ -117,9 +179,9 @@ def parse_site(path: str, *, max_arrows_into: int = 16):
 
 
 def parse_frame(path: str) -> HeytingAlgebra:
-    data = _load_json(path)
-    if not isinstance(data, dict) or "elements" not in data:
-        raise ParseError(f"{path}: not a frame document (no 'elements')")
+    data = _check_document(
+        path, _load_json(path), "frame", _FRAME_FIELDS, ("elements", "leq")
+    )
     return from_poset(data["elements"], [tuple(p) for p in data["leq"]])
 
 
@@ -179,8 +241,10 @@ def _resolve_topology(C, J_from_file, spec: str | None, max_arrows_into: int):
     if spec == "demorgan":
         return demorgan_topology(C, max_arrows_into=max_arrows_into)
     data = _load_json(spec)
-    covers = data["covers"] if isinstance(data, dict) and "covers" in data else data
-    return _covers_from_data(C, covers, max_arrows_into)
+    if not (isinstance(data, dict) and "covers" in data):
+        data = {"covers": data}
+    _check_document(spec, data, "covers", _SITE_FIELDS)
+    return _covers_from_data(C, data["covers"], max_arrows_into)
 
 
 def _site(args):
@@ -246,7 +310,7 @@ def _cmd_sieves(args):
 
 
 def _cmd_topology_validate(args):
-    data = _load_json(args.site)
+    data = _load_site(args.site)
     C = validate_category(data)
     covers = {}
     for obj in C.objects:

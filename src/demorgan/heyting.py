@@ -22,6 +22,32 @@ from .errors import (
 )
 
 
+def transpose(masks) -> tuple:
+    """The converse of a relation on ``range(len(masks))`` given by row
+    bitmasks: bit ``j`` of row ``i`` is bit ``i`` of row ``j``."""
+    out = [0] * len(masks)
+    for j, rest in enumerate(masks):
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            out[bit.bit_length() - 1] |= 1 << j
+    return tuple(out)
+
+
+def inclusion_order(masks) -> list:
+    """Down-set masks of the inclusion order on a family of bitmask sets:
+    bit ``j`` of entry ``i`` is set when ``masks[j]`` is a subset of
+    ``masks[i]``."""
+    out = []
+    for m in masks:
+        acc = 0
+        for j, other in enumerate(masks):
+            if not other & ~m:
+                acc |= 1 << j
+        out.append(acc)
+    return out
+
+
 class HeytingAlgebra:
     """A finite bounded lattice with relative pseudocomplements.
 
@@ -44,11 +70,7 @@ class HeytingAlgebra:
         n = len(self.elements)
         down = list(down_masks)
         full = (1 << n) - 1
-        up = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if down[j] >> i & 1:
-                    up[i] |= 1 << j
+        up = transpose(down)
         down_of = {}
         for i, m in enumerate(down):
             if m in down_of:
@@ -100,7 +122,7 @@ class HeytingAlgebra:
                         mask |= 1 << x
                 imp[a][b] = _max_of(mask, a, b, "imp")
         self._down = tuple(down)
-        self._up = tuple(up)
+        self._up = up
         self._meet = tuple(tuple(r) for r in meet)
         self._join = tuple(tuple(r) for r in join)
         self._imp = tuple(tuple(r) for r in imp)
@@ -217,12 +239,7 @@ def from_poset(elements, leq=None) -> HeytingAlgebra:
             if acc != up[i]:
                 up[i] = acc
                 changed = True
-    down = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if up[j] >> i & 1:
-                down[i] |= 1 << j
-    return HeytingAlgebra(elements, down)
+    return HeytingAlgebra(elements, transpose(up))
 
 
 def implication(H: HeytingAlgebra, a: str, b: str) -> str:

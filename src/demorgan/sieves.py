@@ -184,9 +184,8 @@ def b_sieve(C: FiniteCategory, R: Sieve) -> Sieve:
 def r_sieve(C: FiniteCategory, J: "GrothendieckTopology", c: str) -> Sieve:
     """Arrows into ``c`` whose domain is J-covered by the empty sieve."""
     ci = C._object_index(c)
-    empty_at = J._empty_covered_by_name
     mask = 0
     for f in C._into[ci]:
-        if empty_at[C.objects[C._dom[f]]]:
+        if J.has_empty_cover(C.objects[C._dom[f]]):
             mask |= 1 << f
     return _from_mask(C, ci, mask)

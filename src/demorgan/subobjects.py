@@ -17,7 +17,12 @@ from __future__ import annotations
 
 from .errors import BoundExceeded
 from .fincat import FiniteCategory
-from .heyting import HeytingAlgebra, is_boolean_algebra, is_de_morgan_algebra
+from .heyting import (
+    HeytingAlgebra,
+    inclusion_order,
+    is_boolean_algebra,
+    is_de_morgan_algebra,
+)
 from .sieves import Sieve
 from .topology import GrothendieckTopology, _closed_masks, _same_category
 
@@ -55,15 +60,7 @@ class ClosedSieveAlgebra(HeytingAlgebra):
             )
         carrier = sorted(carrier)
         names = [_sieve_name(C, m) for m in carrier]
-        pos = {m: i for i, m in enumerate(carrier)}
-        downs = []
-        for m in carrier:
-            acc = 0
-            for other in carrier:
-                if not other & ~m:
-                    acc |= 1 << pos[other]
-            downs.append(acc)
-        super().__init__(names, downs)
+        super().__init__(names, inclusion_order(carrier))
         self.site = (C, J)
         self.base = c
         self._sieve_by_name = {

@@ -64,13 +64,6 @@ class GrothendieckTopology:
     def has_empty_cover(self, c: str) -> bool:
         return 0 in self._masks[self.category._object_index(c)]
 
-    @property
-    def _empty_covered_by_name(self) -> dict:
-        return {
-            c: (0 in self._masks[ci])
-            for ci, c in enumerate(self.category.objects)
-        }
-
     def _canonical_key(self):
         if self._key is None:
             C = self.category
@@ -702,10 +695,7 @@ def enumerate_topologies(
 
 
 def countroc_witness(
-    C: FiniteCategory,
-    J: GrothendieckTopology,
-    *,
-    max_arrows_into: int = 16,
+    C: FiniteCategory, J: GrothendieckTopology
 ) -> Optional[tuple]:
     """A witness (c, f, g) that the site cannot satisfy De Morgan's law:
     an object whose only cover is maximal, with f*((g)) empty.

@@ -5,6 +5,8 @@ tables and arrow sets) with plain set fixpoints, deliberately avoiding
 the bitmask paths in the package, so the two routes check each other.
 """
 
+import itertools
+
 from demorgan.sieves import Sieve
 
 
@@ -108,8 +110,6 @@ def naive_right_ore(C):
 def all_sieves_on(C, c):
     """Every precomposition-closed subset of the arrows into ``c``,
     found by filtering all subsets."""
-    import itertools
-
     incoming = sorted(C.arrows_into(c))
     out = []
     for k in range(len(incoming) + 1):
@@ -118,3 +118,35 @@ def all_sieves_on(C, c):
             if naive_is_sieve(C, S):
                 out.append(S)
     return out
+
+
+def naive_isomorphic(C, D):
+    """Whether some bijection of objects and arrows preserves dom, cod
+    and composition, found by trying every object bijection and every
+    arrow bijection between the corresponding hom-sets."""
+    if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
+        return False
+    homs = {}
+    for f, ends in C.arrows.items():
+        homs.setdefault(ends, []).append(f)
+    for images in itertools.permutations(D.objects):
+        on = dict(zip(C.objects, images))
+        choices = []
+        for (a, b), fs in homs.items():
+            targets = [
+                g for g, ends in D.arrows.items() if ends == (on[a], on[b])
+            ]
+            choices.append(
+                [dict(zip(fs, p)) for p in itertools.permutations(targets)]
+                if len(targets) == len(fs) else []
+            )
+        for parts in itertools.product(*choices):
+            F = {f: g for part in parts for f, g in part.items()}
+            if all(
+                F[C.compose(f, g)] == D.compose(F[f], F[g])
+                for f in C.arrows
+                for g in C.arrows
+                if C.composable(f, g)
+            ):
+                return True
+    return False

@@ -1,3 +1,5 @@
+import random
+
 from demorgan.catalog import (
     canonical_poset,
     downsets_of_poset,
@@ -7,8 +9,10 @@ from demorgan.catalog import (
     enumerate_posets,
 )
 from demorgan.errors import NotALattice, NotResiduated
-from demorgan.fincat import validate_category
+from demorgan.fincat import FiniteCategory, validate_category
 from demorgan.heyting import HeytingAlgebra, from_poset
+
+from oracles import naive_isomorphic
 
 # unlabeled poset counts by size
 POSET_COUNTS = [1, 1, 2, 5, 16, 63, 318, 2045]
@@ -98,3 +102,40 @@ def test_monoid_counts(catalog4):
 def test_catalog_categories_are_valid(catalog3):
     for C in catalog3:
         assert validate_category(C.to_data()) == C
+
+
+def _relabeled(C, rng):
+    """A copy of ``C`` under fresh object and arrow names, declared in a
+    shuffled order."""
+    obj = {
+        o: f"o{i}"
+        for o, i in zip(C.objects, rng.sample(range(100), len(C.objects)))
+    }
+    arr = {
+        f: "id_" + obj[C.dom(f)] if C.is_identity(f) else f"x{i}"
+        for f, i in zip(C.arrows, rng.sample(range(100), len(C.arrows)))
+    }
+    declared = [(arr[f], obj[a], obj[b]) for f, (a, b) in C.arrows.items()]
+    compose = [
+        (arr[f], arr[g], arr[C.compose(f, g)])
+        for f in C.arrows
+        for g in C.arrows
+        if C.composable(f, g)
+    ]
+    for part in (declared, compose):
+        rng.shuffle(part)
+    objects = rng.sample(list(obj.values()), len(obj))
+    return FiniteCategory(objects, declared, compose)
+
+
+def test_catalog_is_one_category_per_isomorphism_class(catalog3):
+    """Brute-force isomorphism check of the catalog's canonical forms:
+    no two representatives are isomorphic, and a relabeled copy of each
+    is isomorphic to exactly one of them."""
+    for i, C in enumerate(catalog3):
+        for D in catalog3[i + 1:]:
+            assert not naive_isomorphic(C, D)
+    rng = random.Random(0)
+    for C in catalog3:
+        copy = _relabeled(C, rng)
+        assert [D for D in catalog3 if naive_isomorphic(copy, D)] == [C]

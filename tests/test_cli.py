@@ -250,6 +250,40 @@ def test_sieve_bound_reaches_site_covers(capsys):
         assert code == 3 and "bound" in err
 
 
+_ARROW_F = {"name": "f", "dom": "a", "cod": "c"}
+
+
+@pytest.mark.parametrize("argv, document", [
+    (("validate", "DOC"),
+     {"objects": ["a", "c"], "arrows": [_ARROW_F], "covers": [["f"]]}),
+    (("topology", "validate", "DOC"),
+     {"objects": ["a", "c"], "arrows": [_ARROW_F], "covers": [["f"]]}),
+    (("report", DATA / "cspan.json", "--topology", "DOC"),
+     {"covers": [["f"]]}),
+    (("report", DATA / "cspan.json", "--topology", "DOC"), [["f"]]),
+    (("validate", "DOC"),
+     {"objects": ["a", "c"], "arrows": [{"name": "f", "dom": "a"}]}),
+    (("validate", "DOC"), {"objects": [1, 2]}),
+    (("validate", "DOC"), {"objects": "ab"}),
+    (("validate", "DOC"), {"objects": ["a"], "covers": {"a": "id_a"}}),
+    (("validate", "DOC"), ["a", "b"]),
+    (("frame", "classify", "DOC"), {"elements": ["0", "1"]}),
+    (("frame", "classify", "DOC"), {"elements": ["0", "1"], "leq": [["0"]]}),
+], ids=[
+    "covers-list", "topology-validate-covers-list",
+    "topology-file-covers-list", "topology-file-bare-list",
+    "arrow-without-cod", "integer-objects", "string-objects",
+    "string-generators", "not-an-object", "frame-without-leq",
+    "frame-short-pair",
+])
+def test_malformed_document_exits_2(tmp_path, capsys, argv, document):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(document))
+    code, _, err = run(capsys, *(doc if a == "DOC" else a for a in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_site_to_data_covers_sorted():
     C, J = parse_site(str(DATA / "cspan_fg.json"))
     data = site_to_data(C, J)
