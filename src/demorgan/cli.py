@@ -34,6 +34,7 @@ import argparse
 import json
 import sys
 
+from .documents import check_document
 from .errors import BoundExceeded, InputError, ParseError
 from .fincat import (
     FiniteCategory,
@@ -95,67 +96,18 @@ def _load_json(path: str):
         ) from exc
 
 
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _records(*fields):
-    return lambda value: isinstance(value, list) and all(
-        isinstance(entry, dict)
-        and all(isinstance(entry.get(f), str) for f in fields)
-        for entry in value
-    )
-
-
-def _pairs(value) -> bool:
-    return isinstance(value, list) and all(
-        _strings(pair) and len(pair) == 2 for pair in value
-    )
-
-
-def _covers(value) -> bool:
-    return isinstance(value, dict) and all(
-        isinstance(gen_lists, list) and all(map(_strings, gen_lists))
-        for gen_lists in value.values()
-    )
-
-
-# The shape of each field a document may carry, and how to describe it.
-_SITE_FIELDS = {
-    "objects": (_strings, "a list of names"),
-    "arrows": (
-        _records("name", "dom", "cod"), "a list of {name, dom, cod} records"
-    ),
-    "compose": (
-        _records("first", "then", "equals"),
-        "a list of {first, then, equals} records",
-    ),
-    "covers": (_covers, "a mapping from objects to lists of generator lists"),
-}
-_FRAME_FIELDS = {
-    "elements": (_strings, "a list of names"),
-    "leq": (_pairs, "a list of [lower, upper] pairs"),
-}
-
-
-def _check_document(path: str, data, kind: str, fields: dict, required=()):
-    """Refuse ``data`` unless it is a mapping holding every required
-    field and every field it holds has its shape in ``fields``."""
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: not a {kind} document (not a JSON object)")
-    for name in required:
-        if name not in data:
-            raise ParseError(f"{path}: not a {kind} document (no {name!r})")
-    for name, (ok, expected) in fields.items():
-        if name in data and not ok(data[name]):
-            raise ParseError(f"{path}: {name!r} must be {expected}")
+def _checked(path: str, data, kind: str, required=()):
+    """``data`` after the library's shape check for a ``kind`` document;
+    a refusal names ``path``."""
+    try:
+        check_document(data, kind, required)
+    except InputError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return data
 
 
 def _load_site(path: str) -> dict:
-    return _check_document(
-        path, _load_json(path), "site", _SITE_FIELDS, ("objects",)
-    )
+    return _checked(path, _load_json(path), "site", ("objects",))
 
 
 def _covers_from_data(
@@ -179,10 +131,8 @@ def parse_site(path: str, *, max_arrows_into: int = 16):
 
 
 def parse_frame(path: str) -> HeytingAlgebra:
-    data = _check_document(
-        path, _load_json(path), "frame", _FRAME_FIELDS, ("elements", "leq")
-    )
-    return from_poset(data["elements"], [tuple(p) for p in data["leq"]])
+    data = _checked(path, _load_json(path), "frame", ("elements", "leq"))
+    return from_poset(data)
 
 
 def topology_to_data(J: GrothendieckTopology) -> dict:
@@ -243,7 +193,7 @@ def _resolve_topology(C, J_from_file, spec: str | None, max_arrows_into: int):
     data = _load_json(spec)
     if not (isinstance(data, dict) and "covers" in data):
         data = {"covers": data}
-    _check_document(spec, data, "covers", _SITE_FIELDS)
+    _checked(spec, data, "site")
     return _covers_from_data(C, data["covers"], max_arrows_into)
 
 

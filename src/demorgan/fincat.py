@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from .documents import check_document
 from .errors import (
     BoundExceeded,
     BrokenAssociativity,
@@ -381,19 +382,17 @@ class FiniteCategory:
 def validate_category(data) -> FiniteCategory:
     """Build a :class:`FiniteCategory` from a raw description.
 
-    ``data`` is a mapping with keys ``objects``, ``arrows`` and optional
-    ``compose`` (the JSON site schema), or an existing category, which
-    is revalidated structurally.
+    ``data`` is a mapping with key ``objects`` and optional ``arrows``
+    and ``compose`` (the JSON site schema), or an existing category,
+    which is revalidated structurally.  A mapping of any other shape
+    raises ``DanglingReference`` (see :mod:`demorgan.documents`).
     """
     if isinstance(data, FiniteCategory):
         return validate_category(data.to_data())
-    try:
-        objects = data["objects"]
-    except KeyError:
-        raise DanglingReference("missing 'objects' field") from None
-    arrows = data.get("arrows", ())
-    compose = data.get("compose", ())
-    return FiniteCategory(objects, arrows, compose)
+    check_document(data, "site", ("objects",))
+    return FiniteCategory(
+        data["objects"], data.get("arrows", ()), data.get("compose", ())
+    )
 
 
 def arrows_into(C: FiniteCategory, c: str) -> frozenset:

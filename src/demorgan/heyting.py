@@ -12,8 +12,9 @@ regular elements.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
+from .documents import check_document
 from .errors import (
     NotALattice,
     NotAPartialOrder,
@@ -32,6 +33,16 @@ def transpose(masks) -> tuple:
             rest ^= bit
             out[bit.bit_length() - 1] |= 1 << j
     return tuple(out)
+
+
+def _members(mask: int) -> list:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length() - 1)
+    return out
 
 
 def inclusion_order(masks) -> list:
@@ -53,6 +64,16 @@ class HeytingAlgebra:
 
     Elements are opaque strings; the order is whatever relation the
     algebra was built from.  All operation tables are precomputed.
+
+    ``down_masks[i]`` is the down-set of element ``i`` as a bitmask, and
+    the masks must form a partial order (reflexive, antisymmetric,
+    transitive); ``from_poset`` closes an arbitrary relation first.
+    Equal masks raise ``NotAPartialOrder``; a missing meet, join or
+    bound raises ``NotALattice`` and a missing relative pseudocomplement
+    ``NotResiduated``, each naming the first pair in index order.  The
+    meet and join tables take O(n^2) mask operations and the
+    implication table O(n * (n + |covers|)), where |covers| is the
+    number of pairs c < b with nothing strictly between.
     """
 
     __slots__ = (
@@ -62,16 +83,17 @@ class HeytingAlgebra:
 
     def __init__(self, elements: Iterable[str], down_masks: Iterable[int]):
         self.elements = tuple(elements)
-        self._idx = {e: i for i, e in enumerate(self.elements)}
-        if len(self._idx) != len(self.elements):
-            raise NotAPartialOrder("duplicate element names")
-        if not self.elements:
-            raise NotALattice("an algebra needs at least one element")
         n = len(self.elements)
+        self._idx = dict(zip(self.elements, range(n)))
+        if len(self._idx) != n:
+            raise NotAPartialOrder("duplicate element names")
+        if not n:
+            raise NotALattice("an algebra needs at least one element")
         down = list(down_masks)
         full = (1 << n) - 1
         up = transpose(down)
         down_of = {}
+        strict = []
         for i, m in enumerate(down):
             if m in down_of:
                 raise NotAPartialOrder(
@@ -79,55 +101,74 @@ class HeytingAlgebra:
                     f"{self.elements[i]!r} are order-equivalent"
                 )
             down_of[m] = i
-
-        def _max_of(mask, a, b, kind):
-            try:
-                return down_of[mask]
-            except KeyError:
-                exc = NotResiduated if kind == "imp" else NotALattice
-                what = "relative pseudocomplement" if kind == "imp" else kind
-                raise exc(
-                    f"elements {self.elements[a]!r} and {self.elements[b]!r} "
-                    f"have no {what}"
-                ) from None
-
-        up_of = {m: i for i, m in enumerate(up)}
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
+            strict.append(m ^ 1 << i)
+        get_down = down_of.get
+        get_up = dict(zip(up, range(n))).get
+        meet = []
+        join = []
         for i in range(n):
-            for j in range(i, n):
-                m = _max_of(down[i] & down[j], i, j, "meet")
-                meet[i][j] = meet[j][i] = m
-                u = up[i] & up[j]
-                try:
-                    jj = up_of[u]
-                except KeyError:
-                    raise NotALattice(
-                        f"elements {self.elements[i]!r} and "
-                        f"{self.elements[j]!r} have no join"
-                    ) from None
-                join[i][j] = join[j][i] = jj
+            m_row = tuple(map(get_down, map(down[i].__and__, down)))
+            j_row = tuple(map(get_up, map(up[i].__and__, up)))
+            if None in m_row or None in j_row:
+                # the first pair i <= j without a meet, or else a join
+                for j in range(i, n):
+                    if m_row[j] is None:
+                        raise self._no(NotALattice, i, j, "meet")
+                    if j_row[j] is None:
+                        raise self._no(NotALattice, i, j, "join")
+            meet.append(m_row)
+            join.append(j_row)
         try:
             bot = up.index(full)
             top = down.index(full)
         except ValueError:
             raise NotALattice("the order is not bounded") from None
-        imp = [[0] * n for _ in range(n)]
+        # a => b is the greatest x with x meet a <= b.  The set S(a, b) of
+        # those x is the union of the buckets {x : x meet a = y} over
+        # y <= b.  The down-set of b is b together with the down-sets of
+        # its lower covers, so sweeping b upwards (by down-set size) gives
+        # S(a, b) as b's own bucket joined with S(a, c) over b's lower
+        # covers c.
+        sweep = []
+        size = list(map(int.bit_count, down))
+        for b in sorted(range(n), key=size.__getitem__):
+            below = rest = strict[b]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                below &= ~strict[bit.bit_length() - 1]
+            if below:
+                sweep.append((b, _members(below)))
+        imp = []
         for a in range(n):
-            for b in range(n):
-                mask = 0
-                db = down[b]
-                for x in range(n):
-                    if not down[meet[x][a]] & ~db:
-                        mask |= 1 << x
-                imp[a][b] = _max_of(mask, a, b, "imp")
+            hit = [0] * n
+            for x, y in enumerate(meet[a]):
+                hit[y] |= 1 << x
+            for b, below in sweep:
+                s = hit[b]
+                for c in below:
+                    s |= hit[c]
+                hit[b] = s
+            row = tuple(map(get_down, hit))
+            if None in row:
+                raise self._no(
+                    NotResiduated, a, row.index(None),
+                    "relative pseudocomplement",
+                )
+            imp.append(row)
         self._down = tuple(down)
         self._up = up
-        self._meet = tuple(tuple(r) for r in meet)
-        self._join = tuple(tuple(r) for r in join)
-        self._imp = tuple(tuple(r) for r in imp)
+        self._meet = tuple(meet)
+        self._join = tuple(join)
+        self._imp = tuple(imp)
         self._bot = bot
         self._top = top
+
+    def _no(self, exc, a: int, b: int, what: str):
+        return exc(
+            f"elements {self.elements[a]!r} and {self.elements[b]!r} "
+            f"have no {what}"
+        )
 
     # -- queries --------------------------------------------------------
 
@@ -204,16 +245,15 @@ def from_poset(elements, leq=None) -> HeytingAlgebra:
     """Build an algebra from a finite relation.
 
     ``from_poset(elements, pairs)`` or ``from_poset({"elements": ...,
-    "leq": ...})``.  The reflexive-transitive closure is taken; the
-    result must be a residuated bounded lattice, otherwise
-    ``NotALattice``/``NotResiduated`` is raised with a witness pair.
+    "leq": ...})``; a mapping of any other shape raises
+    ``NotAPartialOrder`` (see :mod:`demorgan.documents`).  The
+    reflexive-transitive closure is taken; the result must be a
+    residuated bounded lattice, otherwise ``NotALattice``/
+    ``NotResiduated`` is raised with a witness pair.
     """
     if leq is None:
-        if not isinstance(elements, Mapping):
-            raise NotAPartialOrder("expected a mapping or an explicit relation")
-        data = elements
-        elements = data["elements"]
-        leq = [tuple(p) for p in data["leq"]]
+        check_document(elements, "frame", ("elements", "leq"))
+        elements, leq = elements["elements"], elements["leq"]
     elements = tuple(elements)
     idx = {e: i for i, e in enumerate(elements)}
     if len(idx) != len(elements):

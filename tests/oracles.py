@@ -1,8 +1,10 @@
-"""Independent brute-force implementations of the sieve calculus.
+"""Independent brute-force implementations of the sieve calculus and
+of the Heyting operations.
 
 Everything here works purely through the public category API (compose
-tables and arrow sets) with plain set fixpoints, deliberately avoiding
-the bitmask paths in the package, so the two routes check each other.
+tables and arrow sets) with plain set fixpoints, or through an algebra's
+``leq`` and ``meet`` alone, deliberately avoiding the bitmask paths in
+the package, so the two routes check each other.
 """
 
 import itertools
@@ -150,3 +152,13 @@ def naive_isomorphic(C, D):
             ):
                 return True
     return False
+
+
+def naive_implication(H, a, b):
+    """The greatest x with meet(x, a) <= b, found by scanning every
+    element through ``leq`` and ``meet`` alone; None when there is none."""
+    below = [x for x in H.elements if H.leq(H.meet(x, a), b)]
+    for x in below:
+        if all(H.leq(y, x) for y in below):
+            return x
+    return None

@@ -86,6 +86,17 @@ def test_dangling_reference():
         FiniteCategory(["a"], [("f", "a", "a")], {("f", "f"): "ghost"})
 
 
+@pytest.mark.parametrize("document", [
+    {"objects": ["a"], "arrows": [{"name": "f", "dom": "a"}]},
+    {"objects": "ab"},
+    {"arrows": []},
+    ["a", "b"],
+], ids=["arrow-without-cod", "string-objects", "no-objects", "not-a-mapping"])
+def test_malformed_document_rejected(document):
+    with pytest.raises(DanglingReference):
+        validate_category(document)
+
+
 def test_validation_idempotent(fixtures):
     for C in fixtures.values():
         again = validate_category(C.to_data())

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from demorgan.heyting import (
     negation,
     regular_elements,
 )
+
+from oracles import naive_implication
 
 CH3 = ch3()
 FRM5 = frm5()
@@ -48,20 +52,43 @@ def test_non_lattices_rejected():
     # two maximal elements: no top
     with pytest.raises(NotALattice):
         from_poset(["0", "a", "b"], [("0", "a"), ("0", "b")])
-    # M3 and N5 are lattices but not residuated
-    with pytest.raises(NotResiduated):
+    # M3 and N5 are lattices but not residuated; the witness is the
+    # first pair (a, b) in index order without a => b
+    with pytest.raises(NotResiduated, match=re.escape(
+        "elements 'a' and '0' have no relative pseudocomplement"
+    )):
         from_poset(
             ["0", "a", "b", "c", "1"],
             [("0", "a"), ("0", "b"), ("0", "c"),
              ("a", "1"), ("b", "1"), ("c", "1")],
         )
-    with pytest.raises(NotResiduated):
+    with pytest.raises(NotResiduated, match=re.escape(
+        "elements 'b' and 'c' have no relative pseudocomplement"
+    )):
         from_poset(
             ["0", "a", "b", "c", "1"],
             [("0", "a"), ("0", "c"), ("c", "b"), ("a", "1"), ("b", "1")],
         )
     with pytest.raises(NotAPartialOrder):
         from_poset(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+@pytest.mark.parametrize("document", [
+    {"elements": ["a"]},
+    {"elements": "ab", "leq": []},
+    {"elements": ["0", "1"], "leq": [["0"]]},
+    ["0", "1"],
+], ids=["no-leq", "string-elements", "short-pair", "not-a-mapping"])
+def test_malformed_document_rejected(document):
+    with pytest.raises(NotAPartialOrder):
+        from_poset(document)
+
+
+def test_implication_matches_brute_force(heyting_catalog):
+    for H in heyting_catalog:
+        for a in H.elements:
+            for b in H.elements:
+                assert H.implication(a, b) == naive_implication(H, a, b)
 
 
 def test_implication_negation_examples():

@@ -1,6 +1,7 @@
 import pytest
 
 from demorgan.errors import BoundExceeded
+from demorgan.fincat import FiniteCategory
 from demorgan.fixtures import bool4, ch2, ch3, frm5
 from demorgan.heyting import is_boolean_algebra, is_de_morgan_algebra
 from demorgan.sieves import Sieve, empty_sieve, generate_sieve, pullback_sieve, r_sieve
@@ -13,6 +14,7 @@ from demorgan.subobjects import (
 from demorgan.topology import (
     _closure_mask,
     closure_of_sieve,
+    demorgan_topology,
     dense_topology,
     enumerate_topologies,
     generate_topology,
@@ -96,32 +98,58 @@ def test_negation_formula(fixtures):
                     assert alg.sieve_of(alg.negation(name_)) == expected
 
 
+def assert_tables_match_sieves(C, J, c):
+    # the tables come from the inclusion order alone; they must match the
+    # sieve formulas: intersection, closure of the union, and the arrows f
+    # with f*(a) inside f*(b)
+    ci = C._object_index(c)
+    into = C._into[ci]
+    alg = closed_sieve_algebra(C, J, c)
+    masks = [
+        C._members_to_mask(alg.sieve_of(x).members) for x in alg.elements
+    ]
+    pulled = [[C._pull(f, m) for f in into] for m in masks]
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            assert masks[alg._meet[i][j]] == a & b
+            assert masks[alg._join[i][j]] == _closure_mask(
+                C, J._masks, ci, a | b
+            )
+            arrowwise = 0
+            for f, pa, pb in zip(into, pulled[i], pulled[j]):
+                if not pa & ~pb:
+                    arrowwise |= 1 << f
+            assert masks[alg._imp[i][j]] == arrowwise
+    return alg
+
+
 def test_closed_sieve_algebra_tables_over_catalog(site_enumeration):
-    # the tables come from the inclusion order alone; on every object of
-    # every catalog site they must match the sieve formulas: intersection,
-    # closure of the union, and the arrows f with f*(a) inside f*(b)
+    # every object of every catalog site (algebras of at most 17 elements)
     for C, tops in site_enumeration:
         for J in tops:
             for c in C.objects:
-                ci = C._object_index(c)
-                into = C._into[ci]
-                alg = closed_sieve_algebra(C, J, c)
-                masks = [
-                    C._members_to_mask(alg.sieve_of(x).members)
-                    for x in alg.elements
-                ]
-                pulled = [[C._pull(f, m) for f in into] for m in masks]
-                for i, a in enumerate(masks):
-                    for j, b in enumerate(masks):
-                        assert masks[alg._meet[i][j]] == a & b
-                        assert masks[alg._join[i][j]] == _closure_mask(
-                            C, J._masks, ci, a | b
-                        )
-                        arrowwise = 0
-                        for f, pa, pb in zip(into, pulled[i], pulled[j]):
-                            if not pa & ~pb:
-                                arrowwise |= 1 << f
-                        assert masks[alg._imp[i][j]] == arrowwise
+                assert_tables_match_sieves(C, J, c)
+
+
+def then_wins(k):
+    """One object with k idempotents, x;y = y: every set of them is a
+    sieve, so the object has 2^k + 1 sieves."""
+    xs = [f"x{i}" for i in range(k)]
+    return FiniteCategory(
+        ["o"], [(x, "o", "o") for x in xs], [(x, y, y) for x in xs for y in xs]
+    )
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_closed_sieve_algebra_tables_then_wins(k):
+    # 32 to 129 closed sieves, well past the catalog's algebras
+    C = then_wins(k)
+    for J, size in (
+        (trivial_topology(C), 2 ** k + 1),
+        (dense_topology(C), 2 ** k),
+        (demorgan_topology(C), 2 ** k),
+    ):
+        assert len(assert_tables_match_sieves(C, J, "o")) == size
 
 
 def test_oracle_examples(fixtures):
