@@ -31,6 +31,7 @@ still printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -173,12 +174,11 @@ def _emit(payload: dict, args, lines):
 
 
 def _topology_lines(J: GrothendieckTopology):
-    lines = []
-    for obj in sorted(J.category.objects):
-        sieves = sorted(sorted(s.members) for s in J.covers(obj))
-        rendered = ", ".join("{" + ",".join(s) + "}" for s in sieves)
-        lines.append(f"  {obj}: {rendered}")
-    return lines
+    covers = topology_to_data(J)
+    return [
+        f"  {obj}: " + ", ".join("{" + ",".join(s) + "}" for s in covers[obj])
+        for obj in sorted(covers)
+    ]
 
 
 def _resolve_topology(C, J_from_file, spec: str | None, max_arrows_into: int):
@@ -525,7 +525,11 @@ def _add_common(p, site=True, output=False, topology=False):
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared.  Its
+    defaults bind only the command handlers and the two repairs; every
+    other library call is looked up in this module when a handler runs."""
     ap = argparse.ArgumentParser(
         prog="demorgan",
         description="Decide De Morgan's law and excluded middle for sheaf "
@@ -639,8 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BoundExceeded as exc:

@@ -84,6 +84,16 @@ def closed_sieve_algebra(
     return ClosedSieveAlgebra(C, J, c, max_arrows_into=max_arrows_into)
 
 
+def _oracle(C, J, algebra_law, max_arrows_into):
+    C = _same_category(C, J)
+    return all(
+        algebra_law(
+            closed_sieve_algebra(C, J, c, max_arrows_into=max_arrows_into)
+        )
+        for c in C.objects
+    )
+
+
 def oracle_is_demorgan(
     C: FiniteCategory,
     J: GrothendieckTopology,
@@ -92,13 +102,7 @@ def oracle_is_demorgan(
 ) -> bool:
     """De Morgan test through the subobject algebras: every closed-sieve
     algebra must be a De Morgan algebra."""
-    C = _same_category(C, J)
-    return all(
-        is_de_morgan_algebra(
-            closed_sieve_algebra(C, J, c, max_arrows_into=max_arrows_into)
-        )
-        for c in C.objects
-    )
+    return _oracle(C, J, is_de_morgan_algebra, max_arrows_into)
 
 
 def oracle_is_boolean(
@@ -108,13 +112,7 @@ def oracle_is_boolean(
     max_arrows_into: int = 16,
 ) -> bool:
     """Excluded-middle test through the subobject algebras."""
-    C = _same_category(C, J)
-    return all(
-        is_boolean_algebra(
-            closed_sieve_algebra(C, J, c, max_arrows_into=max_arrows_into)
-        )
-        for c in C.objects
-    )
+    return _oracle(C, J, is_boolean_algebra, max_arrows_into)
 
 
 def frame_as_site(F: HeytingAlgebra, *, max_elements: int = 12):

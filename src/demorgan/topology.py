@@ -30,7 +30,15 @@ from .errors import (
     UnknownObject,
 )
 from .fincat import FiniteCategory
-from .sieves import Sieve, _b_mask, _m_mask, _to_mask, check_sieve
+from .sieves import (
+    Sieve,
+    _b_mask,
+    _from_mask,
+    _m_mask,
+    _stably_nonempty_mask,
+    _to_mask,
+    check_sieve,
+)
 
 
 class GrothendieckTopology:
@@ -353,17 +361,14 @@ def dense_topology(
     C: FiniteCategory, *, max_arrows_into: int = 16
 ) -> GrothendieckTopology:
     """The topology whose covers are exactly the stably non-empty sieves."""
-    gen = C._gen
-    masks = []
-    for ci in range(len(C.objects)):
-        incoming = C._into[ci]
-        masks.append(
-            {
-                m
-                for m in C._sieve_masks(ci, max_arrows_into)
-                if all(m & gen[f] for f in incoming)
-            }
-        )
+    masks = [
+        {
+            m
+            for m in C._sieve_masks(ci, max_arrows_into)
+            if _stably_nonempty_mask(C, ci, m)
+        }
+        for ci in range(len(C.objects))
+    ]
     return GrothendieckTopology(C, masks)
 
 
@@ -452,57 +457,69 @@ def reduced_site(
     return Ct, GrothendieckTopology(Ct, masks_t)
 
 
-def _demorgan_general_witness(C, J, max_arrows_into):
+def _demorgan_criterion(C, ci, R, rmask):
+    """Arrows f into ``ci`` with f*(R) = R_d, or for which every g with
+    g*(f*(R)) = R_e lies in R_d."""
+    V = 0
+    for f in C._into[ci]:
+        d = C._dom[f]
+        fR = C._pull(f, R)
+        if fR == rmask[d]:
+            V |= 1 << f
+            continue
+        ok = True
+        for g in C._into[d]:
+            if C._pull(g, fR) == rmask[C._dom[g]] and not (
+                rmask[d] >> g & 1
+            ):
+                ok = False
+                break
+        if ok:
+            V |= 1 << f
+    return V
+
+
+def _boolean_criterion(C, ci, R, rmask):
+    """Arrows f into ``ci`` with f in R or f*(R) = R_d."""
+    V = 0
+    for f in C._into[ci]:
+        if (R >> f & 1) or C._pull(f, R) == rmask[C._dom[f]]:
+            V |= 1 << f
+    return V
+
+
+def _general_witness(C, J, criterion, max_arrows_into):
+    """The first (object, closed sieve R, criterion sieve of R) whose
+    criterion sieve does not cover, in object and sieve order; None if
+    every one covers."""
+    C = _same_category(C, J)
     rmask = _r_masks(C, J._masks)
     cov_masks = J._masks
     for ci in range(len(C.objects)):
         cov = cov_masks[ci]
         for R in _closed_masks(C, cov_masks, ci, max_arrows_into):
-            V = 0
-            for f in C._into[ci]:
-                d = C._dom[f]
-                fR = C._pull(f, R)
-                if fR == rmask[d]:
-                    V |= 1 << f
-                    continue
-                ok = True
-                for g in C._into[d]:
-                    if C._pull(g, fR) == rmask[C._dom[g]] and not (
-                        rmask[d] >> g & 1
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    V |= 1 << f
+            V = criterion(C, ci, R, rmask)
             if V not in cov:
-                return ci, R, V
+                c = C.objects[ci]
+                return c, _from_mask(C, ci, R), _from_mask(C, ci, V)
     return None
 
 
-def _boolean_general_witness(C, J, max_arrows_into):
-    rmask = _r_masks(C, J._masks)
-    cov_masks = J._masks
-    for ci in range(len(C.objects)):
-        cov = cov_masks[ci]
-        for R in _closed_masks(C, cov_masks, ci, max_arrows_into):
-            V = 0
-            for f in C._into[ci]:
-                if (R >> f & 1) or C._pull(f, R) == rmask[C._dom[f]]:
-                    V |= 1 << f
-            if V not in cov:
-                return ci, R, V
-    return None
-
-
-def _witness_sieves(C, w) -> Optional[tuple]:
-    if w is None:
-        return None
-    ci, R, V = w
-    c = C.objects[ci]
-    return (
-        c,
-        Sieve(c, C._mask_to_members(R)),
-        Sieve(c, C._mask_to_members(V)),
+def _principal_holds(C, J, law_mask, max_arrows_into):
+    """Whether the reduced site's topology covers ``law_mask`` of the
+    principal sieve (f) for every arrow f.  The sieves m((f)) generate
+    the De Morgan topology and the sieves b((f)) the dense one, so this
+    is the test that either lies below the induced topology."""
+    try:
+        Ct, Jt = reduced_site(C, J, max_arrows_into=max_arrows_into)
+    except EmptyReduction:
+        # sheaves on the empty site form the degenerate topos
+        return True
+    cov_masks = Jt._masks
+    return all(
+        law_mask(Ct, ci, Ct._gen[f]) in cov_masks[ci]
+        for ci in range(len(Ct.objects))
+        for f in Ct._into[ci]
     )
 
 
@@ -515,10 +532,7 @@ def demorgan_counterexample(
     """None if the sheaf topos satisfies De Morgan's law, else a triple
     (object, closed sieve R, criterion sieve) with the criterion sieve
     not covering."""
-    C = _same_category(C, J)
-    return _witness_sieves(
-        C, _demorgan_general_witness(C, J, max_arrows_into)
-    )
+    return _general_witness(C, J, _demorgan_criterion, max_arrows_into)
 
 
 def boolean_counterexample(
@@ -527,10 +541,7 @@ def boolean_counterexample(
     *,
     max_arrows_into: int = 16,
 ) -> Optional[tuple]:
-    C = _same_category(C, J)
-    return _witness_sieves(
-        C, _boolean_general_witness(C, J, max_arrows_into)
-    )
+    return _general_witness(C, J, _boolean_criterion, max_arrows_into)
 
 
 def is_demorgan_general(
@@ -546,8 +557,8 @@ def is_demorgan_general(
     inside R_d, must cover c.  Works for arbitrary topologies, empty
     covers included.
     """
-    C = _same_category(C, J)
-    return _demorgan_general_witness(C, J, max_arrows_into) is None
+    found = _general_witness(C, J, _demorgan_criterion, max_arrows_into)
+    return found is None
 
 
 def is_boolean_general(
@@ -558,8 +569,8 @@ def is_boolean_general(
 ) -> bool:
     """Excluded-middle test: for every closed sieve R on every object,
     the arrows with f*(R) = R_d or f in R must form a covering sieve."""
-    C = _same_category(C, J)
-    return _boolean_general_witness(C, J, max_arrows_into) is None
+    found = _general_witness(C, J, _boolean_criterion, max_arrows_into)
+    return found is None
 
 
 def is_demorgan_reduced(
@@ -568,16 +579,9 @@ def is_demorgan_reduced(
     *,
     max_arrows_into: int = 16,
 ) -> bool:
-    """De Morgan test via reduction: the De Morgan topology of the
-    reduced site must be below the induced topology."""
-    try:
-        Ct, Jt = reduced_site(C, J, max_arrows_into=max_arrows_into)
-    except EmptyReduction:
-        # sheaves on the empty site form the degenerate topos
-        return True
-    return leq_topology(
-        demorgan_topology(Ct, max_arrows_into=max_arrows_into), Jt
-    )
+    """De Morgan test on the reduced site: the induced topology must
+    cover m((f)) for every arrow f into every object."""
+    return _principal_holds(C, J, _m_mask, max_arrows_into)
 
 
 def is_boolean_reduced(
@@ -586,19 +590,9 @@ def is_boolean_reduced(
     *,
     max_arrows_into: int = 16,
 ) -> bool:
-    """Excluded-middle test on the reduced site: b_sieve(R) must cover
-    for every closed sieve R."""
-    try:
-        Ct, Jt = reduced_site(C, J, max_arrows_into=max_arrows_into)
-    except EmptyReduction:
-        # sheaves on the empty site form the degenerate topos
-        return True
-    cov_masks = Jt._masks
-    return all(
-        _b_mask(Ct, ci, R) in cov_masks[ci]
-        for ci in range(len(Ct.objects))
-        for R in _closed_masks(Ct, cov_masks, ci, max_arrows_into)
-    )
+    """Excluded-middle test on the reduced site: the induced topology
+    must cover b((f)) for every arrow f into every object."""
+    return _principal_holds(C, J, _b_mask, max_arrows_into)
 
 
 def demorganize_site(

@@ -4,12 +4,15 @@ of the Heyting operations.
 Everything here works purely through the public category API (compose
 tables and arrow sets) with plain set fixpoints, or through an algebra's
 ``leq`` and ``meet`` alone, deliberately avoiding the bitmask paths in
-the package, so the two routes check each other.
+the package, so the two routes check each other.  The one exception,
+``principal_topology``, saturates with the package's generator: it
+states which seeds the De Morgan and dense topologies are generated by.
 """
 
 import itertools
 
 from demorgan.sieves import Sieve
+from demorgan.topology import generate_topology
 
 
 def naive_is_sieve(C, S):
@@ -162,3 +165,17 @@ def naive_implication(H, a, b):
         if all(H.leq(y, x) for y in below):
             return x
     return None
+
+
+def principal_topology(C, law_sieve):
+    """The topology generated by ``law_sieve(C, (f))`` for every arrow f,
+    where (f) is the principal sieve of f.  With ``m_sieve`` this is the
+    De Morgan topology and with ``b_sieve`` the dense one (Johnstone,
+    Elephant A4.5.21), which is what the reduced routes rely on."""
+    return generate_topology(
+        C,
+        [
+            law_sieve(C, naive_generate_sieve(C, C.cod(f), [f]))
+            for f in C.arrows
+        ],
+    )

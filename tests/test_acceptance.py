@@ -54,6 +54,8 @@ from demorgan.topology import (
     validate_topology,
 )
 
+from oracles import principal_topology
+
 
 def report(number, label, mismatches, started, expected=0):
     elapsed = time.time() - started
@@ -203,10 +205,16 @@ def test_criterion_09_frame_site_bridge():
         except InputError:
             mism += 1
         dm = is_de_morgan_algebra(F)
-        if not (dm == is_extremally_disconnected(F) == is_demorgan_general(C, J)):
+        if not (
+            dm == is_extremally_disconnected(F) == is_demorgan_general(C, J)
+            == is_demorgan_reduced(C, J)
+        ):
             mism += 1
         bl = is_boolean_algebra(F)
-        if not (bl == is_almost_discrete(F) == is_boolean_general(C, J)):
+        if not (
+            bl == is_almost_discrete(F) == is_boolean_general(C, J)
+            == is_boolean_reduced(C, J)
+        ):
             mism += 1
     report(9, "frame laws match site decisions and topology", mism, t0)
 
@@ -284,3 +292,16 @@ def test_criterion_12_pullback_and_closure_stability(site_enumeration):
                     if m_sieve(C, closure_of_sieve(C, J, R)) != m_sieve(C, R):
                         mism += 1
     report(12, "pullback compatibility and closure stability", mism, t0)
+
+
+def test_criterion_13_principal_sieves_generate(catalog4):
+    # the reduced routes test only the principal sieves m((f)) and b((f))
+    t0 = time.time()
+    cats = list(category_fixtures().values()) + list(catalog4)
+    mism = 0
+    for C in cats:
+        if principal_topology(C, m_sieve) != demorgan_topology(C):
+            mism += 1
+        if principal_topology(C, b_sieve) != dense_topology(C):
+            mism += 1
+    report(13, "principal m/b sieves generate De Morgan/dense", mism, t0)

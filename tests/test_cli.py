@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from demorgan.cli import main, parse_site, site_to_data, write_site
+from demorgan.cli import (
+    build_parser,
+    main,
+    parse_site,
+    site_to_data,
+    write_site,
+)
 from demorgan.fixtures import cspan
 from demorgan.sieves import generate_sieve
 from demorgan.topology import generate_topology, trivial_topology
@@ -214,6 +220,13 @@ def test_report_route_disagreement_exit_code(capsys, monkeypatch):
     assert code == 4
     assert json.loads(out)["methods_agree"] is False
     assert "disagree" in err
+
+
+def test_parser_built_once_per_process(capsys):
+    build_parser.cache_clear()
+    assert run(capsys, "report", DATA / "cspan.json", "--json")[0] == 0
+    assert run(capsys, "is-boolean", DATA / "mon2.json")[0] == 0
+    assert build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,7 +19,9 @@ from demorgan.topology import (
     enumerate_topologies,
     generate_topology,
     is_boolean_general,
+    is_boolean_reduced,
     is_demorgan_general,
+    is_demorgan_reduced,
     trivial_topology,
 )
 
@@ -150,6 +152,18 @@ def test_closed_sieve_algebra_tables_then_wins(k):
         (demorgan_topology(C), 2 ** k),
     ):
         assert len(assert_tables_match_sieves(C, J, "o")) == size
+
+
+def test_reduced_routes_decide_past_the_sieve_bound():
+    # 18 arrows into the one object, past the 16-arrow sieve bound: the
+    # reduced routes check the 18 principal sieves and enumerate none
+    C = then_wins(17)
+    J = trivial_topology(C)
+    assert is_demorgan_reduced(C, J) is False
+    assert is_boolean_reduced(C, J) is False
+    for route in (is_demorgan_general, oracle_is_demorgan):
+        with pytest.raises(BoundExceeded):
+            route(C, J)
 
 
 def test_oracle_examples(fixtures):
