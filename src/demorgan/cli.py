@@ -23,9 +23,9 @@ with the reflexive-transitive closure implied.  A document whose
 fields have any other shape is refused (exit code 2).
 
 Exit codes: 0 the command ran (decision results are payload), 2 the
-input or the arguments were invalid, 3 an enumeration bound was
-exceeded, 4 ``report``'s decision routes disagreed (the payload is
-still printed).
+input or the arguments were invalid (or no object survives reduction),
+3 an enumeration bound was exceeded, 4 ``report``'s decision routes
+disagreed (the payload is still printed).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 import sys
 
 from .documents import check_document
-from .errors import BoundExceeded, InputError, ParseError
+from .errors import BoundExceeded, EmptyReduction, InputError, ParseError
 from .fincat import (
     FiniteCategory,
     is_mono,
@@ -649,7 +649,7 @@ def main(argv=None) -> int:
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
+    except (InputError, EmptyReduction) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,10 +29,6 @@ from .errors import (
 )
 
 
-def _identity_name(obj: str) -> str:
-    return "id_" + obj
-
-
 def _normalize_arrows(arrows) -> dict:
     """Accept either {name: (dom, cod)} or an iterable of triples/dicts."""
     if isinstance(arrows, Mapping):
@@ -112,7 +108,7 @@ class FiniteCategory:
             arrow_map[name] = (dom, cod)
         for obj in objects:
             if obj not in identity:
-                name = _identity_name(obj)
+                name = "id_" + obj
                 if name in arrow_map:
                     raise BrokenIdentity(
                         f"cannot synthesize identity {name!r}: name taken"
@@ -129,7 +125,6 @@ class FiniteCategory:
         dom_idx = [oi[arrow_map[name][0]] for name in ordered]
         cod_idx = [oi[arrow_map[name][1]] for name in ordered]
         ident_idx = [ai[identity[o]] for o in objects]
-        id_set = set(ident_idx)
 
         comp = [[-1] * n for _ in range(n)]
         for o, i in zip(objects, ident_idx):
@@ -187,30 +182,35 @@ class FiniteCategory:
                             f"{ordered[g]!r}, {ordered[h]!r})"
                         )
 
+        self._index(objects, ordered, dom_idx, cod_idx, comp)
+
+    def _index(self, objects, anames, dom, cod, comp) -> None:
+        """Store unchecked object and arrow tables (``-1`` marks a pair
+        that does not compose; the identities come first, in object
+        order) and derive the name maps, the arrows into each object and
+        the generated sieves."""
         self.objects: tuple = tuple(objects)
-        self.arrows: dict = {name: arrow_map[name] for name in ordered}
-        self.identity: dict = dict(identity)
-        self._onames = tuple(objects)
-        self._anames = tuple(ordered)
-        self._oi = oi
-        self._ai = ai
-        self._dom = tuple(dom_idx)
-        self._cod = tuple(cod_idx)
+        self.arrows: dict = {
+            f: (objects[d], objects[c]) for f, d, c in zip(anames, dom, cod)
+        }
+        self.identity: dict = dict(zip(objects, anames))
+        self._anames = tuple(anames)
+        self._oi = {name: i for i, name in enumerate(objects)}
+        self._ai = {name: i for i, name in enumerate(anames)}
+        self._dom = tuple(dom)
+        self._cod = tuple(cod)
         self._comp = tuple(tuple(row) for row in comp)
-        self._ident = tuple(ident_idx)
-        self._id_set = frozenset(id_set)
+        self._id_set = frozenset(range(len(objects)))
 
         into = [[] for _ in objects]
-        for f in range(n):
-            into[cod_idx[f]].append(f)
+        for f, c in enumerate(cod):
+            into[c].append(f)
         self._into = tuple(tuple(fs) for fs in into)
-        self._into_mask = tuple(
-            sum(1 << f for f in fs) for fs in self._into
-        )
+        self._into_mask = tuple(sum(1 << f for f in fs) for fs in into)
         gen = []
-        for f in range(n):
+        for f, d in enumerate(dom):
             mask = 0
-            for g in self._into[dom_idx[f]]:
+            for g in into[d]:
                 mask |= 1 << comp[g][f]
             gen.append(mask)
         self._gen = tuple(gen)
@@ -220,13 +220,33 @@ class FiniteCategory:
             (frozenset(self.objects), frozenset(self.arrows.items()))
         )
 
+    def _full_subcategory(self, kept) -> "FiniteCategory":
+        """The full subcategory on the ascending object indices ``kept``,
+        sliced from this category's tables with the arrows in the same
+        order.  A full subcategory is a category, so nothing is checked."""
+        obj = {o: i for i, o in enumerate(kept)}
+        arrows = [
+            f for f, (d, c) in enumerate(zip(self._dom, self._cod))
+            if d in obj and c in obj
+        ]
+        arr = {f: i for i, f in enumerate(arrows)}
+        sub = FiniteCategory.__new__(FiniteCategory)
+        sub._index(
+            [self.objects[o] for o in kept],
+            [self._anames[f] for f in arrows],
+            [obj[self._dom[f]] for f in arrows],
+            [obj[self._cod[f]] for f in arrows],
+            [[arr.get(self._comp[f][g], -1) for g in arrows] for f in arrows],
+        )
+        return sub
+
     # -- queries --------------------------------------------------------
 
     def dom(self, f: str) -> str:
-        return self._onames[self._dom[self._arrow_index(f)]]
+        return self.objects[self._dom[self._arrow_index(f)]]
 
     def cod(self, f: str) -> str:
-        return self._onames[self._cod[self._arrow_index(f)]]
+        return self.objects[self._cod[self._arrow_index(f)]]
 
     def compose(self, f: str, g: str) -> str:
         """The composite "f followed by g"; requires cod(f) == dom(g)."""
@@ -359,7 +379,7 @@ class FiniteCategory:
         incoming = self._into[ci]
         if len(incoming) > max_arrows_into:
             raise BoundExceeded(
-                f"object {self._onames[ci]!r} has {len(incoming)} incoming "
+                f"object {self.objects[ci]!r} has {len(incoming)} incoming "
                 f"arrows, above the sieve enumeration bound {max_arrows_into}"
             )
         cached = self._sieve_cache.get(ci)

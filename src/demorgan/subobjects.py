@@ -40,7 +40,7 @@ class ClosedSieveAlgebra(HeytingAlgebra):
     are those of the inclusion order.
     """
 
-    __slots__ = ("site", "base", "_sieve_by_name")
+    __slots__ = ("site", "base", "_carrier")
 
     def __init__(
         self,
@@ -58,18 +58,18 @@ class ClosedSieveAlgebra(HeytingAlgebra):
                 f"{len(carrier)} closed sieves on {c!r}; the subobject "
                 f"algebra is too large"
             )
-        carrier = sorted(carrier)
-        names = [_sieve_name(C, m) for m in carrier]
-        super().__init__(names, inclusion_order(carrier))
+        carrier = tuple(sorted(carrier))
+        super().__init__(
+            [_sieve_name(C, m) for m in carrier], inclusion_order(carrier)
+        )
         self.site = (C, J)
         self.base = c
-        self._sieve_by_name = {
-            name: Sieve(c, C._mask_to_members(m))
-            for name, m in zip(names, carrier)
-        }
+        self._carrier = carrier
 
     def sieve_of(self, name: str) -> Sieve:
-        return self._sieve_by_name[name]
+        """The closed sieve named ``name``."""
+        C, i = self.site[0], self._idx[name]
+        return Sieve(self.base, C._mask_to_members(self._carrier[i]))
 
 
 def closed_sieve_algebra(

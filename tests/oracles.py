@@ -4,15 +4,18 @@ of the Heyting operations.
 Everything here works purely through the public category API (compose
 tables and arrow sets) with plain set fixpoints, or through an algebra's
 ``leq`` and ``meet`` alone, deliberately avoiding the bitmask paths in
-the package, so the two routes check each other.  The one exception,
-``principal_topology``, saturates with the package's generator: it
-states which seeds the De Morgan and dense topologies are generated by.
+the package, so the two routes check each other.  Two exceptions use
+the package's topology constructors: ``principal_topology`` saturates
+with its generator, to state which seeds the De Morgan and dense
+topologies are generated by, and ``naive_reduced_site`` checks its
+covers with ``validate_topology``.
 """
 
 import itertools
 
+from demorgan.fincat import FiniteCategory
 from demorgan.sieves import Sieve
-from demorgan.topology import generate_topology
+from demorgan.topology import generate_topology, validate_topology
 
 
 def naive_is_sieve(C, S):
@@ -179,3 +182,42 @@ def principal_topology(C, law_sieve):
             for f in C.arrows
         ],
     )
+
+
+def naive_reduced_site(C, J):
+    """The reduced site by its definition: the full subcategory on the
+    objects not covered by the empty sieve, built by name through the
+    validating constructor, covered by each sieve S on it for which the
+    parent sieve generated by S, joined with the arrows from the
+    empty-covered objects, covers.  ``(C, J)`` when no object is
+    empty-covered, None when every one is."""
+    kept = [c for c in C.objects if not J.contains(Sieve(c))]
+    if len(kept) == len(C.objects):
+        return C, J
+    if not kept:
+        return None
+    arrows = [
+        (f, d, c) for f, (d, c) in C.arrows.items()
+        if not C.is_identity(f) and d in kept and c in kept
+    ]
+    names = [f for f, _, _ in arrows]
+    Ct = FiniteCategory(
+        kept,
+        arrows,
+        {
+            (f, g): C.compose(f, g)
+            for f in names
+            for g in names
+            if C.composable(f, g)
+        },
+    )
+    covers = {}
+    for c in kept:
+        r = {f for f in C.arrows_into(c) if C.dom(f) not in kept}
+        covers[c] = [
+            S for S in all_sieves_on(Ct, c)
+            if J.contains(
+                Sieve(c, naive_generate_sieve(C, c, S.members).members | r)
+            )
+        ]
+    return Ct, validate_topology(Ct, covers)

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from demorgan import cli
+from demorgan.fixtures import cspan
+from demorgan.sieves import empty_sieve
+from demorgan.topology import generate_topology
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,3 +46,14 @@ def test_route_order_routes_callable(workloads):
     for name, law, route in workloads.ROUTE_ORDER:
         assert callable(route), name
         assert law in ("demorgan", "boolean"), name
+
+
+def test_route_order_and_reduced_site_take_positional_site(workloads):
+    # perfbench calls reduced_site and every route as fn(C, J); here the
+    # empty sieve covers a, so the reduced site is a proper subcategory
+    C = cspan()
+    J = generate_topology(C, [empty_sieve(C, "a")])
+    Ct, _ = workloads.reduced_site(C, J)
+    assert set(Ct.objects) == {"b", "c"}
+    for name, _, route in workloads.ROUTE_ORDER:
+        assert route(C, J) in (True, False), name

@@ -282,12 +282,15 @@ _ARROW_F = {"name": "f", "dom": "a", "cod": "c"}
     (("validate", "DOC"), ["a", "b"]),
     (("frame", "classify", "DOC"), {"elements": ["0", "1"]}),
     (("frame", "classify", "DOC"), {"elements": ["0", "1"], "leq": [["0"]]}),
+    (("demorganize", "DOC"), {"objects": ["a"], "covers": {"a": [[]]}}),
+    (("booleanize", "DOC"), {"objects": ["a"], "covers": {"a": [[]]}}),
 ], ids=[
     "covers-list", "topology-validate-covers-list",
     "topology-file-covers-list", "topology-file-bare-list",
     "arrow-without-cod", "integer-objects", "string-objects",
     "string-generators", "not-an-object", "frame-without-leq",
-    "frame-short-pair",
+    "frame-short-pair", "demorganize-no-reduced-site",
+    "booleanize-no-reduced-site",
 ])
 def test_malformed_document_exits_2(tmp_path, capsys, argv, document):
     doc = tmp_path / "doc.json"

@@ -4,7 +4,14 @@ from demorgan.errors import BoundExceeded
 from demorgan.fincat import FiniteCategory
 from demorgan.fixtures import bool4, ch2, ch3, frm5
 from demorgan.heyting import is_boolean_algebra, is_de_morgan_algebra
-from demorgan.sieves import Sieve, empty_sieve, generate_sieve, pullback_sieve, r_sieve
+from demorgan.sieves import (
+    Sieve,
+    empty_sieve,
+    generate_sieve,
+    maximal_sieve,
+    pullback_sieve,
+    r_sieve,
+)
 from demorgan.subobjects import (
     closed_sieve_algebra,
     frame_as_site,
@@ -23,6 +30,7 @@ from demorgan.topology import (
     is_demorgan_general,
     is_demorgan_reduced,
     trivial_topology,
+    validate_topology,
 )
 
 
@@ -133,12 +141,15 @@ def test_closed_sieve_algebra_tables_over_catalog(site_enumeration):
                 assert_tables_match_sieves(C, J, c)
 
 
-def then_wins(k):
+def then_wins(k, *others):
     """One object with k idempotents, x;y = y: every set of them is a
-    sieve, so the object has 2^k + 1 sieves."""
+    sieve, so the object has 2^k + 1 sieves.  The objects ``others``
+    come with their identities only."""
     xs = [f"x{i}" for i in range(k)]
     return FiniteCategory(
-        ["o"], [(x, "o", "o") for x in xs], [(x, y, y) for x in xs for y in xs]
+        ["o", *others],
+        [(x, "o", "o") for x in xs],
+        [(x, y, y) for x in xs for y in xs],
     )
 
 
@@ -155,15 +166,27 @@ def test_closed_sieve_algebra_tables_then_wins(k):
 
 
 def test_reduced_routes_decide_past_the_sieve_bound():
-    # 18 arrows into the one object, past the 16-arrow sieve bound: the
-    # reduced routes check the 18 principal sieves and enumerate none
+    # 18 arrows into o, past the 16-arrow sieve bound: the reduced routes
+    # check the 18 principal sieves and enumerate none, also when an
+    # object z covered by the empty sieve is cut away first
     C = then_wins(17)
-    J = trivial_topology(C)
-    assert is_demorgan_reduced(C, J) is False
-    assert is_boolean_reduced(C, J) is False
-    for route in (is_demorgan_general, oracle_is_demorgan):
-        with pytest.raises(BoundExceeded):
-            route(C, J)
+    sites = [(C, trivial_topology(C))]
+    Cz = then_wins(17, "z")
+    Jz = validate_topology(
+        Cz,
+        {
+            "o": [maximal_sieve(Cz, "o")],
+            "z": [empty_sieve(Cz, "z"), maximal_sieve(Cz, "z")],
+        },
+        max_arrows_into=18,
+    )
+    sites.append((Cz, Jz))
+    for C, J in sites:
+        assert is_demorgan_reduced(C, J) is False
+        assert is_boolean_reduced(C, J) is False
+        for route in (is_demorgan_general, oracle_is_demorgan):
+            with pytest.raises(BoundExceeded):
+                route(C, J)
 
 
 def test_oracle_examples(fixtures):

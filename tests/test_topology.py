@@ -39,7 +39,7 @@ from demorgan.topology import (
     validate_topology,
 )
 
-from oracles import all_sieves_on, naive_closure
+from oracles import all_sieves_on, naive_closure, naive_reduced_site
 
 
 def fg_topology(C):
@@ -258,15 +258,23 @@ def test_reduced_site_idempotent_over_enumeration(fixtures):
             assert Ct2 is Ct and Jt2 is Jt
 
 
-def test_reduced_sites_validate_over_catalog(site_enumeration):
-    # the induced topology of every reduced catalog site is a topology
-    for C, tops in site_enumeration:
+def test_reduced_sites_validate_over_catalog(fixtures, site_enumeration):
+    # reduced_site slices the category and restricts the covers without
+    # validating either; on every fixture and catalog site it must equal
+    # the reduced site built from its definition by the validating
+    # constructors, with the same objects and the same arrow order
+    sites = [(C, enumerate_topologies(C)) for C in fixtures.values()]
+    for C, tops in sites + site_enumeration:
         for J in tops:
-            try:
-                Ct, Jt = reduced_site(C, J)
-            except EmptyReduction:
+            expected = naive_reduced_site(C, J)
+            if expected is None:
+                with pytest.raises(EmptyReduction):
+                    reduced_site(C, J)
                 continue
-            assert validate_topology(Ct, Jt) == Jt
+            (Ct, Jt), (Nt, NJ) = reduced_site(C, J), expected
+            assert Ct.objects == Nt.objects
+            assert tuple(Ct.arrows) == tuple(Nt.arrows)
+            assert Ct == Nt and Jt == NJ
 
 
 def test_right_ore_boolean_shortcut_over_catalog(site_enumeration):
