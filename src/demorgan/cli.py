@@ -60,9 +60,11 @@ from .heyting import (
     regular_elements,
 )
 from .sieves import Sieve, enumerate_sieves, generate_sieve, maximal_sieve
+from .sieves import _b_mask, _m_mask
 from .subobjects import oracle_is_boolean, oracle_is_demorgan
 from .topology import (
     GrothendieckTopology,
+    _principal_witness,
     boolean_counterexample,
     booleanize_site,
     countroc_witness,
@@ -314,22 +316,25 @@ def _cmd_topology_compare(args):
 def _decision(args):
     C, J = _site(args)
     bound = args.max_sieve_arrows
-    methods = {
-        ("demorgan", "general"): is_demorgan_general,
-        ("demorgan", "reduced"): is_demorgan_reduced,
-        ("demorgan", "oracle"): oracle_is_demorgan,
-        ("boolean", "general"): is_boolean_general,
-        ("boolean", "reduced"): is_boolean_reduced,
-        ("boolean", "oracle"): oracle_is_boolean,
-    }
-    result = methods[(args.law, args.method)](C, J, max_arrows_into=bound)
+    demorgan = args.law == "demorgan"
+    route = {
+        "general": is_demorgan_general if demorgan else is_boolean_general,
+        "reduced": is_demorgan_reduced if demorgan else is_boolean_reduced,
+        "oracle": oracle_is_demorgan if demorgan else oracle_is_boolean,
+    }[args.method]
+    result = route(C, J, max_arrows_into=bound)
     witness = None
     lines = [str(result).lower()]
-    if not result:
-        finder = (
-            demorgan_counterexample if args.law == "demorgan"
-            else boolean_counterexample
-        )
+    if not result and args.method == "reduced":
+        law_mask = _m_mask if demorgan else _b_mask
+        obj, arrow, law = _principal_witness(C, J, law_mask)
+        witness = {"object": obj, "arrow": arrow, "law_sieve": sorted(law.members)}
+        lines += [
+            "witness:", f"  object: {obj}", f"  arrow f: {arrow}",
+            f"  law sieve of (f): {_sieve_text(law)} not covering",
+        ]
+    elif not result:
+        finder = demorgan_counterexample if demorgan else boolean_counterexample
         found = finder(C, J, max_arrows_into=bound)
         if found is not None:
             obj, closed, criterion = found

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from .errors import BoundExceeded
 from .fincat import FiniteCategory
+from .frames import _points
 from .heyting import (
     HeytingAlgebra,
     inclusion_order,
@@ -119,40 +120,35 @@ def frame_as_site(F: HeytingAlgebra, *, max_elements: int = 12):
     """The poset category of a finite frame with its canonical coverage.
 
     There is one arrow a -> b per pair a <= b; a sieve covers c exactly
-    when the join of the domains of its members is c.  The bottom
-    element is covered by the empty sieve, so reduction drops it.
+    when the join of the domains of its members is c.  A point (a
+    join-irreducible element) below a join lies below one of its terms,
+    so these are the sieves containing the arrows p -> c from the points
+    p <= c.  The bottom is covered by the empty sieve, so reduction
+    drops it.
     """
     n = len(F.elements)
     if n > max_elements:
         raise BoundExceeded(
             f"frame has {n} elements, above the site bound {max_elements}"
         )
-    objects = list(F.elements)
-    arrows = []
-    for a in objects:
-        for b in objects:
-            if a != b and F.leq(a, b):
-                arrows.append((f"{a}<{b}", a, b))
-    compose = {}
-    for a in objects:
-        for b in objects:
-            if a == b or not F.leq(a, b):
-                continue
-            for c in objects:
-                if b != c and F.leq(b, c) and a != c:
-                    compose[(f"{a}<{b}", f"{b}<{c}")] = f"{a}<{c}"
-    C = FiniteCategory(objects, arrows, compose)
+    arrows = [
+        (f"{a}<{b}", a, b) for a in F.elements for b in F.elements
+        if a != b and F.leq(a, b)
+    ]
+    compose = {
+        (f, g): f"{a}<{c}"
+        for f, a, b in arrows for g, b2, c in arrows if b == b2
+    }
+    C = FiniteCategory(F.elements, arrows, compose)
+    points = sum(1 << p for p, _ in _points(F))
     masks = []
-    for c in C.objects:
-        ci = C._object_index(c)
-        cov = set()
-        for mask in C._sieve_masks(ci, max_arrows_into=max(16, n + 1)):
-            doms = [
-                C.objects[C._dom[f]]
-                for f in C._into[ci]
-                if mask >> f & 1
-            ]
-            if F.join_all(doms) == c:
-                cov.add(mask)
-        masks.append(cov)
+    for ci, down in enumerate(F._down):
+        # a -> c is in the least cover when a <= p <= c for a point p
+        least = sum(
+            1 << f for f in C._into[ci] if F._up[C._dom[f]] & points & down
+        )
+        masks.append({
+            S for S in C._sieve_masks(ci, max_arrows_into=max(16, n + 1))
+            if not least & ~S
+        })
     return C, GrothendieckTopology(C, masks)

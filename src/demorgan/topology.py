@@ -483,22 +483,22 @@ def _general_witness(C, J, criterion, max_arrows_into):
     return None
 
 
-def _principal_holds(C, J, law_mask):
-    """Whether the reduced site's topology covers ``law_mask`` of the
-    principal sieve (f) for every arrow f.  The sieves m((f)) generate
-    the De Morgan topology and the sieves b((f)) the dense one, so this
-    is the test that either lies below the induced topology."""
+def _principal_witness(C, J, law_mask):
+    """The first (object, arrow f, ``law_mask`` of the principal sieve
+    (f)) on the reduced site that does not cover, or None.  The sieves
+    m((f)) generate the De Morgan topology and the b((f)) the dense one,
+    so None says that either lies below the induced topology."""
     try:
         Ct, Jt = reduced_site(C, J)
     except EmptyReduction:
         # sheaves on the empty site form the degenerate topos
-        return True
-    cov_masks = Jt._masks
-    return all(
-        law_mask(Ct, ci, Ct._gen[f]) in cov_masks[ci]
-        for ci in range(len(Ct.objects))
-        for f in Ct._into[ci]
-    )
+        return None
+    for ci, cov in enumerate(Jt._masks):
+        for f in Ct._into[ci]:
+            law = law_mask(Ct, ci, Ct._gen[f])
+            if law not in cov:
+                return Ct.objects[ci], Ct._anames[f], _from_mask(Ct, ci, law)
+    return None
 
 
 def demorgan_counterexample(
@@ -560,7 +560,7 @@ def is_demorgan_reduced(
     """De Morgan test on the reduced site: the induced topology must
     cover m((f)) for every arrow f into every object.  It enumerates no
     sieve; ``max_arrows_into`` is accepted and unused."""
-    return _principal_holds(C, J, _m_mask)
+    return _principal_witness(C, J, _m_mask) is None
 
 
 def is_boolean_reduced(
@@ -572,7 +572,7 @@ def is_boolean_reduced(
     """Excluded-middle test on the reduced site: the induced topology
     must cover b((f)) for every arrow f into every object.  It
     enumerates no sieve; ``max_arrows_into`` is accepted and unused."""
-    return _principal_holds(C, J, _b_mask)
+    return _principal_witness(C, J, _b_mask) is None
 
 
 def demorganize_site(
@@ -607,32 +607,23 @@ def booleanize_site(
     )
 
 
-def _upsets_containing_top(sieves, top):
-    """All upward-closed (under inclusion) subsets containing the top."""
-    order = sorted(sieves, key=lambda m: (-bin(m).count("1"), m))
-    strict_sup = [
-        [j for j, y in enumerate(order) if y != x and not x & ~y]
-        for x in order
-    ]
-    results = []
-    chosen = [False] * len(order)
-
-    def rec(i):
-        if i == len(order):
-            results.append(
-                frozenset(x for x, c in zip(order, chosen) if c)
-            )
-            return
-        # include order[i] if all its strict supersets are in
-        if all(chosen[j] for j in strict_sup[i]):
-            chosen[i] = True
-            rec(i + 1)
-            chosen[i] = False
-        if order[i] != top:
-            rec(i + 1)
-
-    rec(0)
-    return results
+def _least_covers_ok(C, K):
+    """Whether the up-sets of the sieves ``K`` form a topology: K_d lies
+    in f*(K_c) for every f: d -> c (stability), and K_c is the composites
+    g;f with f in K_c, g in K_dom(f) (idempotence, or transitivity)."""
+    comp, dom, into = C._comp, C._dom, C._into
+    for ci, Kc in enumerate(K):
+        if any(K[dom[f]] & ~C._pull(f, Kc) for f in into[ci]):
+            return False
+        composites = 0
+        for f in into[ci]:
+            if Kc >> f & 1:
+                for g in into[dom[f]]:
+                    if K[dom[f]] >> g & 1:
+                        composites |= 1 << comp[g][f]
+        if composites != Kc:
+            return False
+    return True
 
 
 def enumerate_topologies(
@@ -643,9 +634,12 @@ def enumerate_topologies(
 ) -> tuple:
     """All Grothendieck topologies on ``C``.
 
-    Candidates are products of per-object superset-closed families
-    containing the maximal sieve, filtered by stability and
-    transitivity.
+    Covers are closed under intersection, so on a finite category a
+    topology is the up-sets of one least cover K_c per object.  The
+    candidates, one sieve per object, are kept when stable and
+    idempotent; the bound is on the product of the sieve counts.  The
+    order is that of the products of per-object up-sets, each listing
+    its sieves largest first, a sieve included before it is left out.
     """
     nonid = len(C.arrows) - len(C.objects)
     if nonid > max_nonidentity_arrows:
@@ -653,19 +647,17 @@ def enumerate_topologies(
             f"category has {nonid} non-identity arrows, above the "
             f"enumeration bound {max_nonidentity_arrows}"
         )
-    all_sieves = _all_sieves(C, max_arrows_into)
-    per_object = [
-        _upsets_containing_top(all_sieves[ci], C._into_mask[ci])
-        for ci in range(len(C.objects))
-    ]
-    if prod(len(u) for u in per_object) > 2_000_000:
+    sieves = _all_sieves(C, max_arrows_into)
+    if prod(map(len, sieves)) > 2_000_000:
         raise BoundExceeded("the lattice of topologies is too large")
-    return tuple(
-        GrothendieckTopology(C, combo)
-        for combo in itertools.product(*per_object)
-        if next(_stability_violations(C, combo), None) is None
-        and next(_transitivity_violations(C, combo, all_sieves), None) is None
-    )
+    found = [K for K in itertools.product(*sieves) if _least_covers_ok(C, K)]
+    order = [sorted(s, key=lambda m: (-m.bit_count(), m)) for s in sieves]
+    found.sort(key=lambda K: tuple(
+        tuple(Kc & ~S != 0 for S in order[ci]) for ci, Kc in enumerate(K)
+    ))
+    return tuple(GrothendieckTopology(
+        C, [[S for S in o if not Kc & ~S] for o, Kc in zip(order, K)]
+    ) for K in found)
 
 
 def countroc_witness(

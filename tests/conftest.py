@@ -10,10 +10,23 @@ from demorgan.catalog import (
     enumerate_frames,
     enumerate_heyting_algebras,
 )
+from demorgan.fincat import FiniteCategory
 from demorgan.fixtures import category_fixtures, frame_fixtures
 from demorgan.topology import enumerate_topologies
 
 DATA = Path(__file__).parent / "data"
+
+
+def then_wins(k, *others):
+    """One object with k idempotents, x;y = y: every set of them is a
+    sieve, so the object has 2^k + 1 sieves.  The objects ``others``
+    come with their identities only."""
+    xs = [f"x{i}" for i in range(k)]
+    return FiniteCategory(
+        ["o", *others],
+        [(x, "o", "o") for x in xs],
+        [(x, y, y) for x in xs for y in xs],
+    )
 
 
 @pytest.fixture(scope="session")

@@ -8,14 +8,26 @@ the package, so the two routes check each other.  Two exceptions use
 the package's topology constructors: ``principal_topology`` saturates
 with its generator, to state which seeds the De Morgan and dense
 topologies are generated by, and ``naive_reduced_site`` checks its
-covers with ``validate_topology``.
+covers with ``validate_topology``.  Two more are the searches that the
+package's enumerations replaced, kept as their references:
+``naive_enumerate_topologies`` filters every product of per-object
+up-sets with the package's axiom scans, and ``fixset_search_nuclei``
+tests every candidate fixset and checks each result with
+``validate_nucleus``.
 """
 
 import itertools
 
 from demorgan.fincat import FiniteCategory
+from demorgan.frames import Nucleus, validate_nucleus
 from demorgan.sieves import Sieve
-from demorgan.topology import generate_topology, validate_topology
+from demorgan.topology import (
+    GrothendieckTopology,
+    _stability_violations,
+    _transitivity_violations,
+    generate_topology,
+    validate_topology,
+)
 
 
 def naive_is_sieve(C, S):
@@ -221,3 +233,79 @@ def naive_reduced_site(C, J):
             )
         ]
     return Ct, validate_topology(Ct, covers)
+
+
+def _upsets_containing_top(sieves, top):
+    """All upward-closed (under inclusion) subsets containing the top,
+    largest sieve first, each sieve included before it is left out."""
+    order = sorted(sieves, key=lambda m: (-bin(m).count("1"), m))
+    strict_sup = [
+        [j for j, y in enumerate(order) if y != x and not x & ~y]
+        for x in order
+    ]
+    results = []
+    chosen = [False] * len(order)
+
+    def rec(i):
+        if i == len(order):
+            results.append(
+                frozenset(x for x, c in zip(order, chosen) if c)
+            )
+            return
+        # include order[i] if all its strict supersets are in
+        if all(chosen[j] for j in strict_sup[i]):
+            chosen[i] = True
+            rec(i + 1)
+            chosen[i] = False
+        if order[i] != top:
+            rec(i + 1)
+
+    rec(0)
+    return results
+
+
+def naive_enumerate_topologies(C):
+    """Every product of per-object up-sets of sieves containing the
+    maximal sieve that is stable and transitive, in product order."""
+    all_sieves = [C._sieve_masks(ci) for ci in range(len(C.objects))]
+    per_object = [
+        _upsets_containing_top(all_sieves[ci], C._into_mask[ci])
+        for ci in range(len(C.objects))
+    ]
+    return tuple(
+        GrothendieckTopology(C, combo)
+        for combo in itertools.product(*per_object)
+        if next(_stability_violations(C, combo), None) is None
+        and next(_transitivity_violations(C, combo, all_sieves), None) is None
+    )
+
+
+def fixset_nucleus(F, fixed):
+    """The map sending a to the meet of the elements of ``fixed`` above
+    it, the least fixed element above a when ``fixed`` is a fixset."""
+    return Nucleus(F, {
+        a: F.meet_all(s for s in fixed if F.leq(a, s)) for a in F.elements
+    })
+
+
+def fixset_search_nuclei(F):
+    """Every nucleus of ``F``, found by testing each subset containing
+    the top for closure under meets and under implication from any
+    element, in the order of the subsets' bits over the elements other
+    than the top; each result is checked against the nucleus laws."""
+    elems = F.elements
+    top = F.top
+    rest = [e for e in elems if e != top]
+    out = []
+    for bits in range(1 << len(rest)):
+        fixed = frozenset(
+            [top] + [e for i, e in enumerate(rest) if bits >> i & 1]
+        )
+        if any(F.meet(a, b) not in fixed for a in fixed for b in fixed):
+            continue
+        if any(
+            F.implication(x, s) not in fixed for x in elems for s in fixed
+        ):
+            continue
+        out.append(validate_nucleus(F, fixset_nucleus(F, fixed).table))
+    return tuple(out)

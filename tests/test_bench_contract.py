@@ -10,8 +10,14 @@ import pytest
 
 from demorgan import cli
 from demorgan.fixtures import cspan
+from demorgan.frames import demorganize_frame, enumerate_nuclei
 from demorgan.sieves import empty_sieve
-from demorgan.topology import generate_topology
+from demorgan.topology import (
+    enumerate_topologies,
+    generate_topology,
+    is_boolean_reduced,
+    is_demorgan_reduced,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,3 +63,31 @@ def test_route_order_and_reduced_site_take_positional_site(workloads):
     assert set(Ct.objects) == {"b", "c"}
     for name, _, route in workloads.ROUTE_ORDER:
         assert route(C, J) in (True, False), name
+
+
+def test_golden_counts_match_the_library(
+    workloads, fixtures, site_enumeration, frame_catalog
+):
+    # the survey gates on these counts; an enumeration change that moves
+    # one must fail here before the benchmark runs
+    sites = [(C, J) for C in fixtures.values() for J in enumerate_topologies(C)]
+    sites += [(C, J) for C, tops in site_enumeration for J in tops]
+    assert len(fixtures) + len(site_enumeration) == workloads.GOLDEN_CATEGORIES
+    assert len(sites) == workloads.GOLDEN_SITES
+    assert (
+        sum(is_demorgan_reduced(C, J) for C, J in sites)
+        == workloads.GOLDEN_DEMORGAN
+    )
+    assert (
+        sum(is_boolean_reduced(C, J) for C, J in sites)
+        == workloads.GOLDEN_BOOLEAN
+    )
+    assert len(frame_catalog) == workloads.GOLDEN_FRAMES
+    assert (
+        sum(len(enumerate_nuclei(F)) for F in frame_catalog)
+        == workloads.GOLDEN_NUCLEI
+    )
+    assert (
+        sum(len(demorganize_frame(F)[1]) for F in frame_catalog)
+        == workloads.GOLDEN_FIXSET_ELEMENTS
+    )

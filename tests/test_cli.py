@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from demorgan.fixtures import cspan
 from demorgan.sieves import generate_sieve
 from demorgan.topology import generate_topology, trivial_topology
 
-from conftest import DATA
+from conftest import DATA, then_wins
 
 
 def run(capsys, *argv):
@@ -170,6 +171,64 @@ def test_enumerate_bound_exit_code(capsys):
     )
     assert code == 3
     assert "bound" in err
+
+
+def test_enumerate_then_wins_6(tmp_path, capsys):
+    # 65 sieves on one object: 3 topologies, one least cover each
+    site = tmp_path / "then_wins6.json"
+    write_site(str(site), then_wins(6))
+    code, out, _ = run(capsys, "enumerate-topologies", site, "--json")
+    assert code == 0
+    assert json.loads(out)["count"] == 3
+
+
+@pytest.mark.parametrize("law", ["demorgan", "boolean"])
+def test_reduced_method_witness_past_the_sieve_bound(tmp_path, capsys, law):
+    # 18 arrows into o: the general route refuses, so the reduced route
+    # must name its own witness
+    site = tmp_path / "then_wins17.json"
+    write_site(str(site), then_wins(17))
+    argv = (f"is-{law}", site, "--method", "reduced")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["result"] is False
+    assert payload["witness"] == {
+        "object": "o",
+        "arrow": "x0",
+        "law_sieve": sorted(f"x{i}" for i in range(17)),
+    }
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "false", "witness:", "  object: o", "  arrow f: x0",
+    ]
+
+
+def test_frame_nuclei_boolean_32(tmp_path, capsys):
+    # the subsets of five atoms: one nucleus per set of atoms
+    subsets = [
+        frozenset(c) for r in range(6)
+        for c in itertools.combinations("abcde", r)
+    ]
+
+    def name(x):
+        return "{" + ",".join(sorted(x)) + "}"
+
+    frame = tmp_path / "bool32.json"
+    frame.write_text(json.dumps({
+        "elements": [name(x) for x in subsets],
+        "leq": [
+            [name(x), name(y)] for x in subsets for y in subsets
+            if x < y and len(y) == len(x) + 1
+        ],
+    }))
+    code, out, _ = run(
+        capsys, "frame", "nuclei", frame, "--max-frame-elements", "32",
+        "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["count"] == 32
 
 
 def test_heyting_check_command(capsys):

@@ -32,6 +32,8 @@ from demorgan.frames import (
 )
 from demorgan.heyting import is_boolean_algebra, is_de_morgan_algebra
 
+from oracles import fixset_nucleus, fixset_search_nuclei
+
 CH3 = ch3()
 FRM5 = frm5()
 
@@ -99,6 +101,29 @@ def test_enumerate_nuclei_matches_brute_force():
         assert set(enumerate_nuclei(F)) == set(brute_force_nuclei(F))
     for F in enumerate_frames(5):
         assert set(enumerate_nuclei(F)) == set(brute_force_nuclei(F))
+
+
+def test_enumerate_nuclei_matches_fixset_search(frame_catalog, frames):
+    # the same nuclei in the same order as testing every fixset
+    for F in [*frame_catalog, *frames.values()]:
+        assert enumerate_nuclei(F) == fixset_search_nuclei(F)
+
+
+def test_nucleus_join_and_meet_match_definitions(frame_catalog, frames):
+    # join: the nucleus of the intersected fixsets; meet: pointwise
+    for F in [*frame_catalog, *frames.values()]:
+        if len(F) > 6:
+            continue
+        nuclei = enumerate_nuclei(F)
+        for j in nuclei:
+            for k in nuclei:
+                fixed = {a for a in F.elements if j(a) == a and k(a) == a}
+                assert nucleus_join(F, j, k) == validate_nucleus(
+                    F, fixset_nucleus(F, fixed).table
+                )
+                assert nucleus_meet(F, j, k) == validate_nucleus(
+                    F, {a: F.meet(j(a), k(a)) for a in F.elements}
+                )
 
 
 def test_enumerate_nuclei_bound():

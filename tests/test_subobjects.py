@@ -1,12 +1,12 @@
 import pytest
 
 from demorgan.errors import BoundExceeded
-from demorgan.fincat import FiniteCategory
 from demorgan.fixtures import bool4, ch2, ch3, frm5
 from demorgan.heyting import is_boolean_algebra, is_de_morgan_algebra
 from demorgan.sieves import (
     Sieve,
     empty_sieve,
+    enumerate_sieves,
     generate_sieve,
     maximal_sieve,
     pullback_sieve,
@@ -32,6 +32,8 @@ from demorgan.topology import (
     trivial_topology,
     validate_topology,
 )
+
+from conftest import then_wins
 
 
 def fg_topology(C):
@@ -141,18 +143,6 @@ def test_closed_sieve_algebra_tables_over_catalog(site_enumeration):
                 assert_tables_match_sieves(C, J, c)
 
 
-def then_wins(k, *others):
-    """One object with k idempotents, x;y = y: every set of them is a
-    sieve, so the object has 2^k + 1 sieves.  The objects ``others``
-    come with their identities only."""
-    xs = [f"x{i}" for i in range(k)]
-    return FiniteCategory(
-        ["o", *others],
-        [(x, "o", "o") for x in xs],
-        [(x, y, y) for x in xs for y in xs],
-    )
-
-
 @pytest.mark.parametrize("k", [5, 6, 7])
 def test_closed_sieve_algebra_tables_then_wins(k):
     # 32 to 129 closed sieves, well past the catalog's algebras
@@ -239,6 +229,16 @@ def test_frame_bridge_matches_algebra_laws():
         C, J = frame_as_site(F)
         assert is_demorgan_general(C, J) == is_de_morgan_algebra(F)
         assert is_boolean_general(C, J) == is_boolean_algebra(F)
+
+
+def test_frame_as_site_covers_are_joins(frame_catalog, frames):
+    # a sieve covers c exactly when the join of its members' domains is c
+    for F in [*frame_catalog, *frames.values()]:
+        C, J = frame_as_site(F)
+        for c in C.objects:
+            for S in enumerate_sieves(C, c):
+                doms = [C.dom(f) for f in S.members]
+                assert J.contains(S) == (F.join_all(doms) == c)
 
 
 def test_frame_as_site_bound():

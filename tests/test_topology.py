@@ -8,6 +8,7 @@ from demorgan.errors import (
     NotStable,
 )
 from demorgan.fincat import right_ore
+from demorgan.fixtures import discrete
 from demorgan.sieves import (
     Sieve,
     empty_sieve,
@@ -39,7 +40,12 @@ from demorgan.topology import (
     validate_topology,
 )
 
-from oracles import all_sieves_on, naive_closure, naive_reduced_site
+from oracles import (
+    all_sieves_on,
+    naive_closure,
+    naive_enumerate_topologies,
+    naive_reduced_site,
+)
 
 
 def fg_topology(C):
@@ -397,6 +403,21 @@ def test_enumerated_topologies_validate(fixtures):
         assert len(set(tops)) == len(tops)
         for J in tops:
             validate_topology(C, J.covers_map())
+
+
+def test_enumeration_matches_upset_search(fixtures, site_enumeration):
+    # the same topologies in the same order as filtering every product
+    # of per-object up-sets
+    for C in fixtures.values():
+        assert enumerate_topologies(C) == naive_enumerate_topologies(C)
+    for C, tops in site_enumeration:
+        assert tops == naive_enumerate_topologies(C)
+
+
+def test_enumeration_bound_on_sieve_product():
+    # two sieves per object: 2^21 candidate families, above 2,000,000
+    with pytest.raises(BoundExceeded):
+        enumerate_topologies(discrete(21))
 
 
 def test_enumeration_bound():
