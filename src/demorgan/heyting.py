@@ -1,10 +1,10 @@
 """Finite Heyting algebras.
 
-An algebra is built from a finite order relation; meets, joins and
-relative pseudocomplements are tabulated up front, with witnesses
-raised when the order is not a residuated lattice.  On top of the
-basic operations this module provides the two classical law checks
-(every negation splits the algebra; every element splits the algebra),
+An algebra is built from a finite order relation.  Meets, joins and
+negations are tabulated up front, relative pseudocomplements on first
+use (``from_poset`` at once, raising a witness for an order that is not
+a residuated lattice).  This module also provides the two classical law
+checks (every negation splits the algebra; every element splits it),
 their reformulations in terms of complemented separators and
 consistency, the consistency-set operator, and the Boolean algebra of
 regular elements.
@@ -51,34 +51,29 @@ def inclusion_order(masks) -> list:
     ``masks[i]``."""
     out = []
     for m in masks:
-        acc = 0
-        for j, other in enumerate(masks):
-            if not other & ~m:
-                acc |= 1 << j
-        out.append(acc)
+        rest = ~m
+        out.append(sum([1 << j for j, o in enumerate(masks) if not o & rest]))
     return out
 
 
 class HeytingAlgebra:
     """A finite bounded lattice with relative pseudocomplements.
 
-    Elements are opaque strings; the order is whatever relation the
-    algebra was built from.  All operation tables are precomputed.
-
-    ``down_masks[i]`` is the down-set of element ``i`` as a bitmask, and
-    the masks must form a partial order (reflexive, antisymmetric,
-    transitive); ``from_poset`` closes an arbitrary relation first.
-    Equal masks raise ``NotAPartialOrder``; a missing meet, join or
-    bound raises ``NotALattice`` and a missing relative pseudocomplement
-    ``NotResiduated``, each naming the first pair in index order.  The
-    meet and join tables take O(n^2) mask operations and the
-    implication table O(n * (n + |covers|)), where |covers| is the
-    number of pairs c < b with nothing strictly between.
+    Elements are opaque strings; ``down_masks[i]`` is the down-set of
+    element ``i`` as a bitmask, and the masks must form a partial order
+    (``from_poset`` closes an arbitrary relation first).  Construction
+    raises ``NotAPartialOrder`` on equal masks and ``NotALattice`` on a
+    missing meet, join or bound, and tabulates meets, joins and
+    negations in O(n^2) mask operations.  The a => b table is built by
+    an O(n * (n + |covers|)) sweep over the covering pairs c < b on the
+    first ``implication`` call, or at construction when some element
+    has no pseudocomplement; it raises ``NotResiduated``.  Each error
+    names the first pair in index order.
     """
 
     __slots__ = (
-        "elements", "_idx", "_down", "_up", "_meet", "_join", "_imp",
-        "_bot", "_top",
+        "elements", "_idx", "_down", "_up", "_meet", "_join", "_neg",
+        "_imp", "_bot", "_top",
     )
 
     def __init__(self, elements: Iterable[str], down_masks: Iterable[int]):
@@ -93,7 +88,6 @@ class HeytingAlgebra:
         full = (1 << n) - 1
         up = transpose(down)
         down_of = {}
-        strict = []
         for i, m in enumerate(down):
             if m in down_of:
                 raise NotAPartialOrder(
@@ -101,21 +95,22 @@ class HeytingAlgebra:
                     f"{self.elements[i]!r} are order-equivalent"
                 )
             down_of[m] = i
-            strict.append(m ^ 1 << i)
-        get_down = down_of.get
-        get_up = dict(zip(up, range(n))).get
-        meet = []
-        join = []
-        for i in range(n):
-            m_row = tuple(map(get_down, map(down[i].__and__, down)))
-            j_row = tuple(map(get_up, map(up[i].__and__, up)))
-            if None in m_row or None in j_row:
+        up_of = dict(zip(up, range(n)))
+        meet, join = [], []
+        for i, (d, u) in enumerate(zip(down, up)):
+            # left of the diagonal, a row repeats the column of those above
+            try:
+                m_row = (*[r[i] for r in meet],
+                         *map(down_of.__getitem__, [d & x for x in down[i:]]))
+                j_row = (*[r[i] for r in join],
+                         *map(up_of.__getitem__, [u & x for x in up[i:]]))
+            except KeyError:
                 # the first pair i <= j without a meet, or else a join
                 for j in range(i, n):
-                    if m_row[j] is None:
-                        raise self._no(NotALattice, i, j, "meet")
-                    if j_row[j] is None:
-                        raise self._no(NotALattice, i, j, "join")
+                    if d & down[j] not in down_of:
+                        raise self._no(NotALattice, i, j, "meet") from None
+                    if u & up[j] not in up_of:
+                        raise self._no(NotALattice, i, j, "join") from None
             meet.append(m_row)
             join.append(j_row)
         try:
@@ -123,12 +118,31 @@ class HeytingAlgebra:
             top = down.index(full)
         except ValueError:
             raise NotALattice("the order is not bounded") from None
+        # the x with a meet x = bot are the down-set of neg a, if it exists
+        neg = [down_of.get(sum(1 << x for x, y in enumerate(row) if y == bot))
+               for row in meet]
+        self._down = tuple(down)
+        self._up = up
+        self._meet = tuple(meet)
+        self._join = tuple(join)
+        self._imp = None
+        self._bot = bot
+        self._top = top
+        if None in neg:
+            self._implications()  # raises the first pair in index order
+        self._neg = tuple(neg)
+
+    def _implications(self) -> tuple:
+        """Tabulate a => b for all pairs; the first pair without one raises."""
+        down, meet, n = self._down, self._meet, len(self._down)
+        get_down = dict(zip(down, range(n))).get
         # a => b is the greatest x with x meet a <= b.  The set S(a, b) of
         # those x is the union of the buckets {x : x meet a = y} over
         # y <= b.  The down-set of b is b together with the down-sets of
         # its lower covers, so sweeping b upwards (by down-set size) gives
         # S(a, b) as b's own bucket joined with S(a, c) over b's lower
         # covers c.
+        strict = [m ^ 1 << i for i, m in enumerate(down)]
         sweep = []
         size = list(map(int.bit_count, down))
         for b in sorted(range(n), key=size.__getitem__):
@@ -156,13 +170,8 @@ class HeytingAlgebra:
                     "relative pseudocomplement",
                 )
             imp.append(row)
-        self._down = tuple(down)
-        self._up = up
-        self._meet = tuple(meet)
-        self._join = tuple(join)
         self._imp = tuple(imp)
-        self._bot = bot
-        self._top = top
+        return self._imp
 
     def _no(self, exc, a: int, b: int, what: str):
         return exc(
@@ -196,10 +205,11 @@ class HeytingAlgebra:
         return self.elements[self._join[self._i(a)][self._i(b)]]
 
     def implication(self, a: str, b: str) -> str:
-        return self.elements[self._imp[self._i(a)][self._i(b)]]
+        i, j = self._i(a), self._i(b)
+        return self.elements[(self._imp or self._implications())[i][j]]
 
     def negation(self, a: str) -> str:
-        return self.elements[self._imp[self._i(a)][self._bot]]
+        return self.elements[self._neg[self._i(a)]]
 
     def meet_all(self, xs: Iterable[str]) -> str:
         acc = self._top
@@ -221,8 +231,12 @@ class HeytingAlgebra:
         )
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, HeytingAlgebra):
             return NotImplemented
+        if self.elements == other.elements:
+            return self._up == other._up
         if set(self.elements) != set(other.elements):
             return False
         return all(
@@ -279,7 +293,9 @@ def from_poset(elements, leq=None) -> HeytingAlgebra:
             if acc != up[i]:
                 up[i] = acc
                 changed = True
-    return HeytingAlgebra(elements, transpose(up))
+    H = HeytingAlgebra(elements, transpose(up))
+    H._implications()
+    return H
 
 
 def implication(H: HeytingAlgebra, a: str, b: str) -> str:
@@ -294,17 +310,14 @@ def negation(H: HeytingAlgebra, a: str) -> str:
 
 def is_de_morgan_algebra(H: HeytingAlgebra) -> bool:
     """Whether neg p join neg neg p is the top element for every p."""
-    top = H.top
-    return all(
-        H.join(H.negation(p), H.negation(H.negation(p))) == top
-        for p in H.elements
-    )
+    neg, join, top = H._neg, H._join, H._top
+    return all(join[q][neg[q]] == top for q in neg)
 
 
 def is_boolean_algebra(H: HeytingAlgebra) -> bool:
     """Whether p join neg p is the top element for every p."""
-    top = H.top
-    return all(H.join(p, H.negation(p)) == top for p in H.elements)
+    join, top = H._join, H._top
+    return all(join[p][q] == top for p, q in enumerate(H._neg))
 
 
 def has_de_morgan_property(H: HeytingAlgebra) -> bool:

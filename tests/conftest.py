@@ -12,7 +12,10 @@ from demorgan.catalog import (
 )
 from demorgan.fincat import FiniteCategory
 from demorgan.fixtures import category_fixtures, frame_fixtures
+from demorgan.heyting import is_boolean_algebra, is_de_morgan_algebra
 from demorgan.topology import enumerate_topologies
+
+from oracles import naive_implication, naive_is_boolean, naive_is_de_morgan
 
 DATA = Path(__file__).parent / "data"
 
@@ -27,6 +30,15 @@ def then_wins(k, *others):
         [(x, "o", "o") for x in xs],
         [(x, y, y) for x in xs for y in xs],
     )
+
+
+def assert_laws_match_naive(H):
+    """The table-driven negation and law checks of ``H`` agree with the
+    definitions through ``naive_implication``."""
+    for a in H.elements:
+        assert H.negation(a) == naive_implication(H, a, H.bottom)
+    assert is_de_morgan_algebra(H) == naive_is_de_morgan(H)
+    assert is_boolean_algebra(H) == naive_is_boolean(H)
 
 
 @pytest.fixture(scope="session")

@@ -182,6 +182,23 @@ def naive_implication(H, a, b):
     return None
 
 
+def naive_is_de_morgan(H):
+    """Whether neg p join neg neg p is the top for every p, with the
+    negations found by ``naive_implication``."""
+    def neg(a):
+        return naive_implication(H, a, H.bottom)
+    return all(H.join(neg(p), neg(neg(p))) == H.top for p in H.elements)
+
+
+def naive_is_boolean(H):
+    """Whether p join neg p is the top for every p, with the negation
+    found by ``naive_implication``."""
+    return all(
+        H.join(p, naive_implication(H, p, H.bottom)) == H.top
+        for p in H.elements
+    )
+
+
 def principal_topology(C, law_sieve):
     """The topology generated by ``law_sieve(C, (f))`` for every arrow f,
     where (f) is the principal sieve of f.  With ``m_sieve`` this is the

@@ -30,7 +30,12 @@ from demorgan.frames import (
     top_nucleus,
     validate_nucleus,
 )
-from demorgan.heyting import is_boolean_algebra, is_de_morgan_algebra
+from demorgan.heyting import (
+    HeytingAlgebra,
+    from_poset,
+    is_boolean_algebra,
+    is_de_morgan_algebra,
+)
 
 from oracles import fixset_nucleus, fixset_search_nuclei
 
@@ -124,6 +129,34 @@ def test_nucleus_join_and_meet_match_definitions(frame_catalog, frames):
                 assert nucleus_meet(F, j, k) == validate_nucleus(
                     F, {a: F.meet(j(a), k(a)) for a in F.elements}
                 )
+
+
+def test_nuclei_of_one_frame_compare_without_leq(monkeypatch):
+    # nuclei on one frame, or on frames listing their elements in the
+    # same order, compare without testing the order pair by pair
+    subsets = [
+        frozenset(c) for r in range(6)
+        for c in itertools.combinations("abcde", r)
+    ]
+
+    def name(x):
+        return "{" + ",".join(sorted(x)) + "}"
+
+    def bool32():
+        return from_poset(
+            [name(x) for x in subsets],
+            [(name(x), name(y)) for x in subsets for y in subsets if x < y],
+        )
+
+    F = bool32()
+    lists = [enumerate_nuclei(G, max_size=32) for G in (F, F, bool32())]
+
+    def refuse(*args):
+        raise AssertionError("leq called")
+
+    monkeypatch.setattr(HeytingAlgebra, "leq", refuse)
+    assert len(lists[0]) == 32
+    assert lists[0] == lists[1] == lists[2]
 
 
 def test_enumerate_nuclei_bound():

@@ -13,6 +13,7 @@ from demorgan.errors import (
 )
 from demorgan.fixtures import bool4, ch3, frm5
 from demorgan.heyting import (
+    HeytingAlgebra,
     cons,
     from_poset,
     has_boolean_property,
@@ -24,6 +25,7 @@ from demorgan.heyting import (
     regular_elements,
 )
 
+from conftest import assert_laws_match_naive
 from oracles import naive_implication
 
 CH3 = ch3()
@@ -33,6 +35,11 @@ TWO = from_poset(["0", "1"], [("0", "1")])
 ONE = from_poset(["*"], [])
 
 SMALL_CATALOG = enumerate_heyting_algebras(6)
+
+M3_PAIRS = [
+    ("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1"),
+]
+N5_PAIRS = [("0", "a"), ("0", "c"), ("c", "b"), ("a", "1"), ("b", "1")]
 
 
 def test_from_poset_examples():
@@ -57,20 +64,63 @@ def test_non_lattices_rejected():
     with pytest.raises(NotResiduated, match=re.escape(
         "elements 'a' and '0' have no relative pseudocomplement"
     )):
-        from_poset(
-            ["0", "a", "b", "c", "1"],
-            [("0", "a"), ("0", "b"), ("0", "c"),
-             ("a", "1"), ("b", "1"), ("c", "1")],
-        )
+        from_poset(["0", "a", "b", "c", "1"], M3_PAIRS)
+    # listed top-first, c has no pseudocomplement, but the first pair
+    # without an implication is (c, b)
+    with pytest.raises(NotResiduated, match=re.escape(
+        "elements 'c' and 'b' have no relative pseudocomplement"
+    )):
+        from_poset(["1", "c", "b", "a", "0"], M3_PAIRS)
     with pytest.raises(NotResiduated, match=re.escape(
         "elements 'b' and 'c' have no relative pseudocomplement"
     )):
-        from_poset(
-            ["0", "a", "b", "c", "1"],
-            [("0", "a"), ("0", "c"), ("c", "b"), ("a", "1"), ("b", "1")],
-        )
+        from_poset(["0", "a", "b", "c", "1"], N5_PAIRS)
     with pytest.raises(NotAPartialOrder):
         from_poset(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+def bare(elements, pairs):
+    """The constructor alone on the order that ``pairs`` generates."""
+    leq = set(pairs) | {(a, a) for a in elements}
+    for _ in elements:
+        leq |= {(a, c) for a, b in leq for b2, c in leq if b == b2}
+    return HeytingAlgebra(elements, [
+        sum(1 << i for i, b in enumerate(elements) if (b, a) in leq)
+        for a in elements
+    ])
+
+
+def test_bare_constructor_builds_implications_on_first_use():
+    # N5 is pseudocomplemented but not residuated: the constructor takes
+    # it, and the first implication raises the same witness as from_poset
+    H = bare(["0", "a", "b", "c", "1"], N5_PAIRS)
+    assert H._imp is None
+    assert negation(H, "a") == "b"
+    message = "elements 'b' and 'c' have no relative pseudocomplement"
+    for _ in range(2):
+        with pytest.raises(NotResiduated, match=re.escape(message)):
+            H.implication("1", "1")
+    # M3 has no pseudocomplement of a: the constructor raises the
+    # implication sweep's witness, as from_poset does
+    for elements, first in (
+        (["0", "a", "b", "c", "1"], "'a' and '0'"),
+        (["1", "c", "b", "a", "0"], "'c' and 'b'"),
+    ):
+        with pytest.raises(NotResiduated, match=re.escape(
+            f"elements {first} have no relative pseudocomplement"
+        )):
+            bare(elements, M3_PAIRS)
+
+
+def test_equality():
+    names = ["0", "a", "b", "1"]
+    square = [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
+    chain = [("0", "a"), ("a", "b"), ("b", "1")]
+    assert from_poset(names, square) == from_poset(names, square)
+    assert from_poset(names, square) != from_poset(names, chain)
+    assert from_poset(names, square) == from_poset(names[::-1], square)
+    assert from_poset(names, chain) != from_poset(names[::-1], square)
+    assert from_poset(names, chain) != from_poset(names[:3], chain[:2])
 
 
 @pytest.mark.parametrize("document", [
@@ -89,6 +139,11 @@ def test_implication_matches_brute_force(heyting_catalog):
         for a in H.elements:
             for b in H.elements:
                 assert H.implication(a, b) == naive_implication(H, a, b)
+
+
+def test_law_checks_match_naive_definitions(heyting_catalog):
+    for H in heyting_catalog:
+        assert_laws_match_naive(H)
 
 
 def test_implication_negation_examples():

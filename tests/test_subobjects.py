@@ -33,7 +33,7 @@ from demorgan.topology import (
     validate_topology,
 )
 
-from conftest import then_wins
+from conftest import assert_laws_match_naive, then_wins
 
 
 def fg_topology(C):
@@ -110,13 +110,15 @@ def test_negation_formula(fixtures):
                     assert alg.sieve_of(alg.negation(name_)) == expected
 
 
-def assert_tables_match_sieves(C, J, c):
+def assert_tables_match_sieves(C, J, c, alg=None):
     # the tables come from the inclusion order alone; they must match the
     # sieve formulas: intersection, closure of the union, and the arrows f
-    # with f*(a) inside f*(b)
+    # with f*(a) inside f*(b), of which a => bottom is the negation
     ci = C._object_index(c)
     into = C._into[ci]
-    alg = closed_sieve_algebra(C, J, c)
+    if alg is None:
+        alg = closed_sieve_algebra(C, J, c)
+    alg.implication(alg.top, alg.top)
     masks = [
         C._members_to_mask(alg.sieve_of(x).members) for x in alg.elements
     ]
@@ -132,6 +134,8 @@ def assert_tables_match_sieves(C, J, c):
                 if not pa & ~pb:
                     arrowwise |= 1 << f
             assert masks[alg._imp[i][j]] == arrowwise
+            if j == alg._bot:
+                assert masks[alg._neg[i]] == arrowwise
     return alg
 
 
@@ -143,16 +147,38 @@ def test_closed_sieve_algebra_tables_over_catalog(site_enumeration):
                 assert_tables_match_sieves(C, J, c)
 
 
+def test_closed_sieve_algebra_laws_over_catalog(fixtures, site_enumeration):
+    # each distinct algebra once: its tables depend on its names and order
+    sites = [(C, enumerate_topologies(C)) for C in fixtures.values()]
+    seen = set()
+    for C, tops in sites + site_enumeration:
+        for J in tops:
+            for c in C.objects:
+                alg = closed_sieve_algebra(C, J, c)
+                if (alg.elements, alg._down) not in seen:
+                    seen.add((alg.elements, alg._down))
+                    assert_laws_match_naive(alg)
+    assert len(seen) == 960  # of 60,418 algebras
+
+
 @pytest.mark.parametrize("k", [5, 6, 7])
 def test_closed_sieve_algebra_tables_then_wins(k):
-    # 32 to 129 closed sieves, well past the catalog's algebras
+    # 32 to 129 closed sieves, well past the catalog's algebras; the law
+    # checks read the negation and join tables and build no implication
+    # table, which the first implication call builds
     C = then_wins(k)
     for J, size in (
         (trivial_topology(C), 2 ** k + 1),
         (dense_topology(C), 2 ** k),
         (demorgan_topology(C), 2 ** k),
     ):
-        assert len(assert_tables_match_sieves(C, J, "o")) == size
+        alg = closed_sieve_algebra(C, J, "o")
+        is_de_morgan_algebra(alg)
+        is_boolean_algebra(alg)
+        assert alg._imp is None
+        assert len(assert_tables_match_sieves(C, J, "o", alg)) == size
+        assert alg._imp is not None
+        assert_laws_match_naive(alg)
 
 
 def test_reduced_routes_decide_past_the_sieve_bound():
