@@ -61,9 +61,12 @@ from .heyting import (
 )
 from .sieves import Sieve, enumerate_sieves, generate_sieve, maximal_sieve
 from .sieves import _b_mask, _m_mask
-from .subobjects import oracle_is_boolean, oracle_is_demorgan
+from .subobjects import _oracle, oracle_is_boolean, oracle_is_demorgan
 from .topology import (
     GrothendieckTopology,
+    _boolean_criterion,
+    _demorgan_criterion,
+    _general_witness,
     _principal_witness,
     boolean_counterexample,
     booleanize_site,
@@ -74,6 +77,10 @@ from .topology import (
     dense_topology,
     enumerate_topologies,
     generate_topology,
+    # No command calls these four: ``report`` and ``is-*`` run the loops
+    # above.  They stay attributes of this module, where the benchmark's
+    # traced ``report`` run wraps every name in
+    # ``perfbench/workloads.CLI_LAYER_CALLS`` (tests/test_bench_contract.py).
     is_boolean_general,
     is_boolean_reduced,
     is_demorgan_general,
@@ -314,41 +321,47 @@ def _cmd_topology_compare(args):
 
 
 def _decision(args):
+    """``is-demorgan`` and ``is-boolean``.  The general and reduced
+    methods take the verdict and the witness from one loop; the oracle
+    shows the general route's witness."""
     C, J = _site(args)
     bound = args.max_sieve_arrows
     demorgan = args.law == "demorgan"
-    route = {
-        "general": is_demorgan_general if demorgan else is_boolean_general,
-        "reduced": is_demorgan_reduced if demorgan else is_boolean_reduced,
-        "oracle": oracle_is_demorgan if demorgan else oracle_is_boolean,
-    }[args.method]
-    result = route(C, J, max_arrows_into=bound)
     witness = None
-    lines = [str(result).lower()]
-    if not result and args.method == "reduced":
+    if args.method == "reduced":
         law_mask = _m_mask if demorgan else _b_mask
-        obj, arrow, law = _principal_witness(C, J, law_mask)
+        found = _principal_witness(C, J, (law_mask,))[0]
+        result = found is None
+    else:
+        finder = demorgan_counterexample if demorgan else boolean_counterexample
+        if args.method == "oracle":
+            oracle = oracle_is_demorgan if demorgan else oracle_is_boolean
+            result = oracle(C, J, max_arrows_into=bound)
+            found = None if result else finder(C, J, max_arrows_into=bound)
+        else:
+            found = finder(C, J, max_arrows_into=bound)
+            result = found is None
+    lines = [str(result).lower()]
+    if found is not None and args.method == "reduced":
+        obj, arrow, law = found
         witness = {"object": obj, "arrow": arrow, "law_sieve": sorted(law.members)}
         lines += [
             "witness:", f"  object: {obj}", f"  arrow f: {arrow}",
             f"  law sieve of (f): {_sieve_text(law)} not covering",
         ]
-    elif not result:
-        finder = demorgan_counterexample if demorgan else boolean_counterexample
-        found = finder(C, J, max_arrows_into=bound)
-        if found is not None:
-            obj, closed, criterion = found
-            witness = {
-                "object": obj,
-                "closed_sieve": sorted(closed.members),
-                "criterion_sieve": sorted(criterion.members),
-            }
-            lines += [
-                "witness:",
-                f"  object: {obj}",
-                f"  closed sieve R: {_sieve_text(closed)}",
-                f"  criterion sieve: {_sieve_text(criterion)} not covering",
-            ]
+    elif found is not None:
+        obj, closed, criterion = found
+        witness = {
+            "object": obj,
+            "closed_sieve": sorted(closed.members),
+            "criterion_sieve": sorted(criterion.members),
+        }
+        lines += [
+            "witness:",
+            f"  object: {obj}",
+            f"  closed sieve R: {_sieve_text(closed)}",
+            f"  criterion sieve: {_sieve_text(criterion)} not covering",
+        ]
     return _emit(
         {"result": result, "method": args.method, "witness": witness},
         args,
@@ -445,20 +458,33 @@ def _cmd_frame_classify(args):
     return _emit(payload, args, lines)
 
 
+def _report_verdicts(C, J, bound):
+    """``report``'s verdicts of each route on De Morgan's law and on
+    excluded middle: each route runs once and decides both laws in one
+    sweep."""
+    general = _general_witness(
+        C, J, (_demorgan_criterion, _boolean_criterion), bound
+    )
+    reduced = _principal_witness(C, J, (_m_mask, _b_mask))
+    oracle = _oracle(C, J, (is_de_morgan_algebra, is_boolean_algebra), bound)
+    return tuple(
+        {
+            "general": general[k] is None,
+            "reduced": reduced[k] is None,
+            "oracle": oracle[k],
+        }
+        for k in (0, 1)
+    )
+
+
 def _cmd_report(args):
+    """``report``: the right Ore condition, each decision route once for
+    both laws (De Morgan's and excluded middle), and a non-De-Morgan
+    witness when no object has an empty cover; exit 4 when the routes
+    disagree on either law."""
     C, J = _site(args)
-    bound = args.max_sieve_arrows
     ore = right_ore(C)
-    dm = {
-        "general": is_demorgan_general(C, J, max_arrows_into=bound),
-        "reduced": is_demorgan_reduced(C, J, max_arrows_into=bound),
-        "oracle": oracle_is_demorgan(C, J, max_arrows_into=bound),
-    }
-    bl = {
-        "general": is_boolean_general(C, J, max_arrows_into=bound),
-        "reduced": is_boolean_reduced(C, J, max_arrows_into=bound),
-        "oracle": oracle_is_boolean(C, J, max_arrows_into=bound),
-    }
+    dm, bl = _report_verdicts(C, J, args.max_sieve_arrows)
     nec = no_empty_covers(J)
     counter = countroc_witness(C, J) if nec else None
     agree = len(set(dm.values())) == 1 and len(set(bl.values())) == 1

@@ -466,39 +466,57 @@ def _boolean_criterion(C, ci, R, rmask):
     return V
 
 
-def _general_witness(C, J, criterion, max_arrows_into):
-    """The first (object, closed sieve R, criterion sieve of R) whose
-    criterion sieve does not cover, in object and sieve order; None if
-    every one covers."""
+def _general_witness(C, J, criteria, max_arrows_into):
+    """For each of ``criteria``, the first (object, closed sieve R,
+    criterion sieve of R) whose criterion sieve does not cover, in
+    object and sieve order, or None if every one covers.  Each object's
+    closed sieves are listed once, and no object is visited once every
+    criterion has its witness."""
     C = _same_category(C, J)
     rmask = _r_masks(C, J._masks)
     cov_masks = J._masks
+    found = [None] * len(criteria)
     for ci in range(len(C.objects)):
+        if None not in found:
+            break
         cov = cov_masks[ci]
-        for R in _closed_masks(C, cov_masks, ci, max_arrows_into):
-            V = criterion(C, ci, R, rmask)
-            if V not in cov:
-                c = C.objects[ci]
-                return c, _from_mask(C, ci, R), _from_mask(C, ci, V)
-    return None
+        closed = _closed_masks(C, cov_masks, ci, max_arrows_into)
+        for k, criterion in enumerate(criteria):
+            if found[k] is not None:
+                continue
+            for R in closed:
+                V = criterion(C, ci, R, rmask)
+                if V not in cov:
+                    found[k] = (
+                        C.objects[ci], _from_mask(C, ci, R),
+                        _from_mask(C, ci, V),
+                    )
+                    break
+    return tuple(found)
 
 
-def _principal_witness(C, J, law_mask):
-    """The first (object, arrow f, ``law_mask`` of the principal sieve
-    (f)) on the reduced site that does not cover, or None.  The sieves
-    m((f)) generate the De Morgan topology and the b((f)) the dense one,
-    so None says that either lies below the induced topology."""
+def _principal_witness(C, J, law_masks):
+    """For each of ``law_masks``, the first (object, arrow f, law sieve
+    of the principal sieve (f)) on the reduced site that does not cover,
+    or None.  The sieves m((f)) generate the De Morgan topology and the
+    b((f)) the dense one, so None says that either lies below the induced
+    topology.  The reduced site is built once for all the laws."""
     try:
         Ct, Jt = reduced_site(C, J)
     except EmptyReduction:
         # sheaves on the empty site form the degenerate topos
+        return (None,) * len(law_masks)
+
+    def first(law_mask):
+        for ci, cov in enumerate(Jt._masks):
+            for f in Ct._into[ci]:
+                law = law_mask(Ct, ci, Ct._gen[f])
+                if law not in cov:
+                    law_sieve = _from_mask(Ct, ci, law)
+                    return Ct.objects[ci], Ct._anames[f], law_sieve
         return None
-    for ci, cov in enumerate(Jt._masks):
-        for f in Ct._into[ci]:
-            law = law_mask(Ct, ci, Ct._gen[f])
-            if law not in cov:
-                return Ct.objects[ci], Ct._anames[f], _from_mask(Ct, ci, law)
-    return None
+
+    return tuple(first(law_mask) for law_mask in law_masks)
 
 
 def demorgan_counterexample(
@@ -510,7 +528,7 @@ def demorgan_counterexample(
     """None if the sheaf topos satisfies De Morgan's law, else a triple
     (object, closed sieve R, criterion sieve) with the criterion sieve
     not covering."""
-    return _general_witness(C, J, _demorgan_criterion, max_arrows_into)
+    return _general_witness(C, J, (_demorgan_criterion,), max_arrows_into)[0]
 
 
 def boolean_counterexample(
@@ -519,7 +537,7 @@ def boolean_counterexample(
     *,
     max_arrows_into: int = 16,
 ) -> Optional[tuple]:
-    return _general_witness(C, J, _boolean_criterion, max_arrows_into)
+    return _general_witness(C, J, (_boolean_criterion,), max_arrows_into)[0]
 
 
 def is_demorgan_general(
@@ -535,8 +553,8 @@ def is_demorgan_general(
     inside R_d, must cover c.  Works for arbitrary topologies, empty
     covers included.
     """
-    found = _general_witness(C, J, _demorgan_criterion, max_arrows_into)
-    return found is None
+    found = _general_witness(C, J, (_demorgan_criterion,), max_arrows_into)
+    return found[0] is None
 
 
 def is_boolean_general(
@@ -547,8 +565,8 @@ def is_boolean_general(
 ) -> bool:
     """Excluded-middle test: for every closed sieve R on every object,
     the arrows with f*(R) = R_d or f in R must form a covering sieve."""
-    found = _general_witness(C, J, _boolean_criterion, max_arrows_into)
-    return found is None
+    found = _general_witness(C, J, (_boolean_criterion,), max_arrows_into)
+    return found[0] is None
 
 
 def is_demorgan_reduced(
@@ -560,7 +578,7 @@ def is_demorgan_reduced(
     """De Morgan test on the reduced site: the induced topology must
     cover m((f)) for every arrow f into every object.  It enumerates no
     sieve; ``max_arrows_into`` is accepted and unused."""
-    return _principal_witness(C, J, _m_mask) is None
+    return _principal_witness(C, J, (_m_mask,))[0] is None
 
 
 def is_boolean_reduced(
@@ -572,7 +590,7 @@ def is_boolean_reduced(
     """Excluded-middle test on the reduced site: the induced topology
     must cover b((f)) for every arrow f into every object.  It
     enumerates no sieve; ``max_arrows_into`` is accepted and unused."""
-    return _principal_witness(C, J, _b_mask) is None
+    return _principal_witness(C, J, (_b_mask,))[0] is None
 
 
 def demorganize_site(

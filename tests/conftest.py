@@ -10,10 +10,21 @@ from demorgan.catalog import (
     enumerate_frames,
     enumerate_heyting_algebras,
 )
+from demorgan.errors import BoundExceeded
 from demorgan.fincat import FiniteCategory
 from demorgan.fixtures import category_fixtures, frame_fixtures
 from demorgan.heyting import is_boolean_algebra, is_de_morgan_algebra
-from demorgan.topology import enumerate_topologies
+from demorgan.sieves import _b_mask, _m_mask
+from demorgan.subobjects import _oracle, oracle_is_boolean, oracle_is_demorgan
+from demorgan.topology import (
+    _boolean_criterion,
+    _demorgan_criterion,
+    _general_witness,
+    _principal_witness,
+    boolean_counterexample,
+    demorgan_counterexample,
+    enumerate_topologies,
+)
 
 from oracles import naive_implication, naive_is_boolean, naive_is_de_morgan
 
@@ -39,6 +50,48 @@ def assert_laws_match_naive(H):
         assert H.negation(a) == naive_implication(H, a, H.bottom)
     assert is_de_morgan_algebra(H) == naive_is_de_morgan(H)
     assert is_boolean_algebra(H) == naive_is_boolean(H)
+
+
+class Refused(str):
+    """The message of a BoundExceeded, as a call's outcome."""
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the Refused message of its BoundExceeded."""
+    try:
+        return fn(*args, **kwargs)
+    except BoundExceeded as exc:
+        return Refused(exc)
+
+
+def _paired_outcome(dm, bl):
+    """What a paired sweep over (De Morgan, Boolean) must return, given
+    the outcomes of the two single-law calls: both results, or the De
+    Morgan call's refusal.  On each object excluded middle fails wherever
+    De Morgan's law does, so the Boolean call never refuses where the De
+    Morgan call decides."""
+    if isinstance(dm, Refused):
+        return dm
+    assert not isinstance(bl, Refused)
+    return dm, bl
+
+
+def assert_paired_sweeps_match(C, J, bound=16):
+    """Each route's paired sweep returns its two single-law results."""
+    general = (_demorgan_criterion, _boolean_criterion)
+    assert outcome(_general_witness, C, J, general, bound) == _paired_outcome(
+        outcome(demorgan_counterexample, C, J, max_arrows_into=bound),
+        outcome(boolean_counterexample, C, J, max_arrows_into=bound),
+    )
+    reduced = (_m_mask, _b_mask)
+    assert _principal_witness(C, J, reduced) == tuple(
+        _principal_witness(C, J, (law,))[0] for law in reduced
+    )
+    oracle = (is_de_morgan_algebra, is_boolean_algebra)
+    assert outcome(_oracle, C, J, oracle, bound) == _paired_outcome(
+        outcome(oracle_is_demorgan, C, J, max_arrows_into=bound),
+        outcome(oracle_is_boolean, C, J, max_arrows_into=bound),
+    )
 
 
 @pytest.fixture(scope="session")

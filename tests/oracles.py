@@ -13,7 +13,9 @@ package's enumerations replaced, kept as their references:
 ``naive_enumerate_topologies`` filters every product of per-object
 up-sets with the package's axiom scans, and ``fixset_search_nuclei``
 tests every candidate fixset and checks each result with
-``validate_nucleus``.
+``validate_nucleus``.  ``sequential_report`` is the reference for
+``report``'s paired sweeps: the six public decision routes, called one
+law and one route at a time.
 """
 
 import itertools
@@ -21,11 +23,16 @@ import itertools
 from demorgan.fincat import FiniteCategory
 from demorgan.frames import Nucleus, validate_nucleus
 from demorgan.sieves import Sieve
+from demorgan.subobjects import oracle_is_boolean, oracle_is_demorgan
 from demorgan.topology import (
     GrothendieckTopology,
     _stability_violations,
     _transitivity_violations,
     generate_topology,
+    is_boolean_general,
+    is_boolean_reduced,
+    is_demorgan_general,
+    is_demorgan_reduced,
     validate_topology,
 )
 
@@ -326,3 +333,22 @@ def fixset_search_nuclei(F):
             continue
         out.append(validate_nucleus(F, fixset_nucleus(F, fixed).table))
     return tuple(out)
+
+
+def sequential_report(C, J, bound):
+    """``report``'s verdicts from six separate route calls: De Morgan's
+    law by the general, reduced and oracle routes, then excluded middle
+    by the same three.  Returns one {route: verdict} dict per law; the
+    first route to refuse raises its BoundExceeded."""
+    routes = {
+        "general": (is_demorgan_general, is_boolean_general),
+        "reduced": (is_demorgan_reduced, is_boolean_reduced),
+        "oracle": (oracle_is_demorgan, oracle_is_boolean),
+    }
+    return tuple(
+        {
+            name: laws[k](C, J, max_arrows_into=bound)
+            for name, laws in routes.items()
+        }
+        for k in (0, 1)
+    )

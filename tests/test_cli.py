@@ -1,8 +1,10 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
+from demorgan import cli, subobjects, topology
 from demorgan.cli import (
     build_parser,
     main,
@@ -269,16 +271,85 @@ def test_report_command(capsys):
     assert payload["non_de_morgan_witness"] == ["c", "f", "g"]
 
 
-def test_report_route_disagreement_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(
-        "demorgan.cli.oracle_is_demorgan", lambda C, J, **kw: True
-    )
+@pytest.mark.parametrize(
+    "seam", ["_general_witness", "_principal_witness", "_oracle"],
+    ids=["general", "reduced", "oracle"],
+)
+@pytest.mark.parametrize("law", [0, 1], ids=["demorgan", "boolean"])
+def test_report_route_disagreement_exit_code(capsys, monkeypatch, seam, law):
+    # report runs each route's paired sweep once; on cspan under the
+    # trivial topology every route finds both laws false.  Turn one
+    # route's verdict on one law true: a witness dropped, or False made
+    # True.
+    route = getattr(cli, seam)
+
+    def flipped(*args):
+        verdicts = list(route(*args))
+        assert verdicts[law] not in (None, True)
+        verdicts[law] = True if seam == "_oracle" else None
+        return tuple(verdicts)
+
+    monkeypatch.setattr(cli, seam, flipped)
     code, out, err = run(
         capsys, "report", DATA / "cspan.json", "--topology", "trivial", "--json"
     )
     assert code == 4
     assert json.loads(out)["methods_agree"] is False
     assert "disagree" in err
+
+
+def _calls_of(monkeypatch, name, *modules):
+    """Record the arguments of every call of ``name`` in ``modules``."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def _closed_masks_calls(monkeypatch):
+    return _calls_of(monkeypatch, "_closed_masks", topology, subobjects)
+
+
+@pytest.mark.parametrize("law", ["demorgan", "boolean"])
+def test_decision_takes_verdict_and_witness_from_one_sweep(
+    capsys, monkeypatch, law
+):
+    # both laws fail on cspan under the trivial topology
+    listed = _closed_masks_calls(monkeypatch)
+    code, out, _ = run(capsys, f"is-{law}", DATA / "cspan.json", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["result"] is False and payload["witness"]
+    per_object = Counter(ci for _, _, ci, _ in listed)
+    assert per_object and set(per_object.values()) == {1}
+
+    built = _calls_of(monkeypatch, "reduced_site", topology)
+    code, out, _ = run(
+        capsys, f"is-{law}", DATA / "cspan.json", "--method", "reduced",
+        "--json",
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["result"] is False and payload["witness"]
+    assert len(built) == 1
+
+
+def test_report_builds_each_closed_sieve_algebra_once(
+    tmp_path, capsys, monkeypatch
+):
+    doc = tmp_path / "then_wins7.json"
+    write_site(str(doc), then_wins(7))
+    algebras = _calls_of(monkeypatch, "__init__", subobjects.ClosedSieveAlgebra)
+    listed = _closed_masks_calls(monkeypatch)
+    code, out, _ = run(capsys, "report", doc, "--topology", "trivial", "--json")
+    assert code == 0 and json.loads(out)["methods_agree"] is True
+    assert len(algebras) == 1
+    per_object = Counter(ci for _, _, ci, _ in listed)
+    assert per_object == {0: 2}
 
 
 def test_parser_built_once_per_process(capsys):

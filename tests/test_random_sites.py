@@ -6,8 +6,9 @@ under composition, reach shapes and sizes that the catalog lacks.  On
 each, the three decision routes must agree; the reduced site must equal
 the one built from its definition; each repair must lie above the
 reduced site's topology, satisfy its law, and equal that topology
-exactly when the law already holds; and the principal sieves must
-generate the De Morgan and dense topologies.
+exactly when the law already holds; the principal sieves must
+generate the De Morgan and dense topologies; and each route's paired
+sweep over both laws must return its two single-law results.
 """
 
 import pytest
@@ -33,6 +34,7 @@ from demorgan.topology import (
     trivial_topology,
 )
 
+from conftest import assert_paired_sweeps_match
 from oracles import naive_reduced_site, principal_topology
 
 MAX_ARROWS_INTO = 12
@@ -123,6 +125,7 @@ def test_routes_repairs_and_principal_generators(site):
     assert principal_topology(C, m_sieve) == M
     assert principal_topology(C, b_sieve) == D
     for J in (trivial_topology(C), D, M, generate_topology(C, [S])):
+        assert_paired_sweeps_match(C, J)
         dm = is_demorgan_general(C, J)
         assert is_demorgan_reduced(C, J) == dm
         assert _oracle_agrees(oracle_is_demorgan, C, J, dm)
