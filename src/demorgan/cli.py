@@ -120,23 +120,21 @@ def _load_site(path: str) -> dict:
     return _checked(path, _load_json(path), "site", ("objects",))
 
 
-def _covers_from_data(
-    C: FiniteCategory, covers_data, max_arrows_into: int
-) -> GrothendieckTopology:
+def _covers_from_data(C: FiniteCategory, covers_data) -> GrothendieckTopology:
     seeds = []
     for obj, gen_lists in covers_data.items():
         for gens in gen_lists:
             seeds.append(generate_sieve(C, obj, gens))
-    return generate_topology(C, seeds, max_arrows_into=max_arrows_into)
+    return generate_topology(C, seeds)
 
 
-def parse_site(path: str, *, max_arrows_into: int = 16):
+def parse_site(path: str):
     """Read a site document; returns (category, topology or None)."""
     data = _load_site(path)
     C = validate_category(data)
     J = None
     if "covers" in data:
-        J = _covers_from_data(C, data["covers"], max_arrows_into)
+        J = _covers_from_data(C, data["covers"])
     return C, J
 
 
@@ -145,12 +143,14 @@ def parse_frame(path: str) -> HeytingAlgebra:
     return from_poset(data)
 
 
-def topology_to_data(J: GrothendieckTopology) -> dict:
-    covers = {}
-    for obj in J.category.objects:
-        sieves = sorted(sorted(s.members) for s in J.covers(obj))
-        covers[obj] = sieves
-    return covers
+def topology_to_data(
+    J: GrothendieckTopology, *, max_arrows_into: int = 16
+) -> dict:
+    """Each object's covering sieves, listed under the sieve bound."""
+    return {
+        obj: sorted(sorted(s.members) for s in sieves)
+        for obj, sieves in J.covers_map(max_arrows_into=max_arrows_into).items()
+    }
 
 
 def site_to_data(C: FiniteCategory, J: GrothendieckTopology | None = None) -> dict:
@@ -161,10 +161,14 @@ def site_to_data(C: FiniteCategory, J: GrothendieckTopology | None = None) -> di
     return data
 
 
-def write_site(path: str, C: FiniteCategory, J: GrothendieckTopology | None = None):
+def _write_json(path: str, data: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(site_to_data(C, J), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_site(path: str, C: FiniteCategory, J: GrothendieckTopology | None = None):
+    _write_json(path, site_to_data(C, J))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -182,46 +186,48 @@ def _emit(payload: dict, args, lines):
     return 0
 
 
-def _topology_lines(J: GrothendieckTopology):
-    covers = topology_to_data(J)
+def _topology_lines(covers: dict):
     return [
         f"  {obj}: " + ", ".join("{" + ",".join(s) + "}" for s in covers[obj])
         for obj in sorted(covers)
     ]
 
 
-def _resolve_topology(C, J_from_file, spec: str | None, max_arrows_into: int):
+def _resolve_topology(C, J_from_file, spec: str | None):
     if spec is None:
         return J_from_file if J_from_file is not None else trivial_topology(C)
     if spec == "trivial":
         return trivial_topology(C)
     if spec == "dense":
-        return dense_topology(C, max_arrows_into=max_arrows_into)
+        return dense_topology(C)
     if spec == "demorgan":
-        return demorgan_topology(C, max_arrows_into=max_arrows_into)
+        return demorgan_topology(C)
     data = _load_json(spec)
     if not (isinstance(data, dict) and "covers" in data):
         data = {"covers": data}
     _checked(spec, data, "site")
-    return _covers_from_data(C, data["covers"], max_arrows_into)
+    return _covers_from_data(C, data["covers"])
 
 
 def _site(args):
     """The category and the topology named by ``args.topology``."""
-    C, J_file = parse_site(args.site, max_arrows_into=args.max_sieve_arrows)
-    J = _resolve_topology(C, J_file, args.topology, args.max_sieve_arrows)
-    return C, J
+    C, J_file = parse_site(args.site)
+    return C, _resolve_topology(C, J_file, args.topology)
 
 
-def _writeback(args, C, J):
+def _shown_covers(args, J):
+    """J's covers as printed, listed under ``--max-sieve-arrows``; also
+    written to ``--output`` when given."""
+    covers = topology_to_data(J, max_arrows_into=args.max_sieve_arrows)
     if getattr(args, "output", None):
-        write_site(args.output, C, J)
+        _write_json(args.output, {**site_to_data(J.category), "covers": covers})
+    return covers
 
 
 # -- subcommand implementations ------------------------------------------------
 
 def _cmd_validate(args):
-    C, J = parse_site(args.site, max_arrows_into=args.max_sieve_arrows)
+    C, J = parse_site(args.site)
     payload = {
         "objects": len(C.objects),
         "arrows": len(C.arrows),
@@ -233,18 +239,19 @@ def _cmd_validate(args):
         f"({len(C.non_identity_arrows())} non-identity)",
     ]
     if J is not None:
+        covers = J.covers_map(max_arrows_into=args.max_sieve_arrows)
         payload["topology"] = {
-            obj: len(J.covers(obj)) for obj in sorted(C.objects)
+            obj: len(covers[obj]) for obj in sorted(C.objects)
         }
         counts = ", ".join(
-            f"{obj}:{len(J.covers(obj))}" for obj in sorted(C.objects)
+            f"{obj}:{len(covers[obj])}" for obj in sorted(C.objects)
         )
         lines.append(f"topology ok: covering sieves per object {counts}")
     return _emit(payload, args, lines)
 
 
 def _cmd_ore(args):
-    C, _ = parse_site(args.site, max_arrows_into=args.max_sieve_arrows)
+    C, _ = parse_site(args.site)
     found = ore_counterexample(C)
     witness = None
     lines = [str(found is None).lower()]
@@ -258,7 +265,7 @@ def _cmd_ore(args):
 
 
 def _cmd_sieves(args):
-    C, _ = parse_site(args.site, max_arrows_into=args.max_sieve_arrows)
+    C, _ = parse_site(args.site)
     found = enumerate_sieves(
         C, args.object, max_arrows_into=args.max_sieve_arrows
     )
@@ -290,17 +297,15 @@ def _cmd_show_topology(args):
     """``topology generate``, ``dense-topology`` and ``demorgan-topology``:
     the topology named by ``args.topology`` (default: the site's own)."""
     C, J = _site(args)
-    _writeback(args, C, J)
+    covers = _shown_covers(args, J)
     return _emit(
-        {"covers": topology_to_data(J)}, args,
-        [f"{args.title}:"] + _topology_lines(J),
+        {"covers": covers}, args, [f"{args.title}:"] + _topology_lines(covers)
     )
 
 
 def _cmd_topology_compare(args):
-    bound = args.max_sieve_arrows
-    C1, J1 = parse_site(args.site, max_arrows_into=bound)
-    C2, J2 = parse_site(args.other, max_arrows_into=bound)
+    C1, J1 = parse_site(args.site)
+    C2, J2 = parse_site(args.other)
     if J1 is None:
         J1 = trivial_topology(C1)
     if J2 is None:
@@ -372,16 +377,16 @@ def _decision(args):
 def _cmd_repair(args):
     """``demorganize`` and ``booleanize``: ``args.repair`` of the site."""
     C, J = _site(args)
-    K = args.repair(C, J, max_arrows_into=args.max_sieve_arrows)
-    _writeback(args, K.category, K)
+    K = args.repair(C, J)
+    covers = _shown_covers(args, K)
     lines = [
         f"reduced category objects: {', '.join(sorted(K.category.objects))}",
         f"{args.title}:",
-    ] + _topology_lines(K)
+    ] + _topology_lines(covers)
     return _emit(
         {
             "objects": sorted(K.category.objects),
-            "covers": topology_to_data(K),
+            "covers": covers,
         },
         args,
         lines,
@@ -389,17 +394,17 @@ def _cmd_repair(args):
 
 
 def _cmd_enumerate(args):
-    C, _ = parse_site(args.site, max_arrows_into=args.max_sieve_arrows)
+    C, _ = parse_site(args.site)
+    bound = args.max_sieve_arrows
     tops = enumerate_topologies(
-        C,
-        max_nonidentity_arrows=args.max_enum_arrows,
-        max_arrows_into=args.max_sieve_arrows,
+        C, max_nonidentity_arrows=args.max_enum_arrows, max_arrows_into=bound
     )
-    payload = {"count": len(tops), "topologies": [topology_to_data(J) for J in tops]}
+    listed = [topology_to_data(J, max_arrows_into=bound) for J in tops]
+    payload = {"count": len(tops), "topologies": listed}
     lines = [f"{len(tops)} topologies"]
-    for i, J in enumerate(tops):
+    for i, covers in enumerate(listed):
         lines.append(f"topology {i}:")
-        lines += _topology_lines(J)
+        lines += _topology_lines(covers)
     return _emit(payload, args, lines)
 
 
@@ -520,7 +525,7 @@ def _cmd_report(args):
 
 
 def _cmd_is_mono(args):
-    C, _ = parse_site(args.site, max_arrows_into=args.max_sieve_arrows)
+    C, _ = parse_site(args.site)
     result = is_mono(C, args.arrow)
     return _emit({"result": result}, args, [str(result).lower()])
 

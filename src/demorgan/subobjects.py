@@ -15,6 +15,8 @@ classifications can be replayed through the site machinery.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .errors import BoundExceeded
 from .fincat import FiniteCategory
 from .frames import _points
@@ -53,13 +55,15 @@ class ClosedSieveAlgebra(HeytingAlgebra):
     ):
         C = _same_category(C, J)
         ci = C._object_index(c)
-        carrier = _closed_masks(C, J._masks, ci, max_arrows_into)
+        # listing stops at the first closed sieve past the bound
+        carrier = tuple(islice(
+            _closed_masks(C, J._least, ci, max_arrows_into), _MAX_CARRIER + 1
+        ))
         if len(carrier) > _MAX_CARRIER:
             raise BoundExceeded(
-                f"{len(carrier)} closed sieves on {c!r}; the subobject "
-                f"algebra is too large"
+                f"more than {_MAX_CARRIER} closed sieves on {c!r}; the "
+                f"subobject algebra is too large"
             )
-        carrier = tuple(sorted(carrier))
         super().__init__(
             [_sieve_name(C, m) for m in carrier], inclusion_order(carrier)
         )
@@ -148,14 +152,8 @@ def frame_as_site(F: HeytingAlgebra, *, max_elements: int = 12):
     }
     C = FiniteCategory(F.elements, arrows, compose)
     points = sum(1 << p for p, _ in _points(F))
-    masks = []
-    for ci, down in enumerate(F._down):
-        # a -> c is in the least cover when a <= p <= c for a point p
-        least = sum(
-            1 << f for f in C._into[ci] if F._up[C._dom[f]] & points & down
-        )
-        masks.append({
-            S for S in C._sieve_masks(ci, max_arrows_into=max(16, n + 1))
-            if not least & ~S
-        })
-    return C, GrothendieckTopology(C, masks)
+    # a -> c is in the least cover of c when a <= p <= c for a point p
+    return C, GrothendieckTopology(C, [
+        sum(1 << f for f in C._into[ci] if F._up[C._dom[f]] & points & down)
+        for ci, down in enumerate(F._down)
+    ])

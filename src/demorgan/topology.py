@@ -8,14 +8,19 @@ topologies, reduction of a site to the objects not covered by the empty
 sieve, and the decision procedures for whether the sheaf topos on a
 site satisfies De Morgan's law or the law of excluded middle.
 
-Internally covering families are kept as frozensets of sieve bitmasks,
-one per object, in the indexing of the underlying category.
+On a finite category the covers of an object c are the sieves that
+contain one least cover K_c, kept as a sieve bitmask in the indexing of
+the underlying category: S covers c iff ``not K_c & ~S``.  Generation,
+joins, the dense and De Morgan topologies and the repairs shrink one
+sieve per object to a topology (``_shrink``) and list no sieve.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from math import prod
+from operator import and_
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
@@ -35,7 +40,6 @@ from .sieves import (
     _b_mask,
     _from_mask,
     _m_mask,
-    _stably_nonempty_mask,
     _to_mask,
     check_sieve,
 )
@@ -44,40 +48,50 @@ from .sieves import (
 class GrothendieckTopology:
     """A validated Grothendieck topology; construct via the module API."""
 
-    __slots__ = ("category", "_masks", "_key")
+    __slots__ = ("category", "_least", "_key")
 
-    def __init__(self, category: FiniteCategory, masks):
+    def __init__(self, category: FiniteCategory, least):
         self.category = category
-        self._masks = tuple(frozenset(s) for s in masks)
+        self._least = tuple(least)
         self._key = None
 
     # -- queries --------------------------------------------------------
 
-    def covers(self, c: str) -> frozenset:
-        """The covering sieves on object ``c``."""
+    def covers(self, c: str, *, max_arrows_into: int = 16) -> frozenset:
+        """The covering sieves on object ``c``: the sieves that contain
+        its least cover.  Unless that is the maximal sieve, they are
+        listed under the sieve enumeration bound."""
         C = self.category
         ci = C._object_index(c)
-        return frozenset(
-            Sieve(c, C._mask_to_members(m)) for m in self._masks[ci]
-        )
+        K = self._least[ci]
+        if K == C._into_mask[ci]:
+            upset = (K,)
+        else:
+            upset = (
+                m for m in C._sieve_masks(ci, max_arrows_into) if not K & ~m
+            )
+        return frozenset(Sieve(c, C._mask_to_members(m)) for m in upset)
 
     def contains(self, S: Sieve) -> bool:
         C = self.category
         ci, mask = _to_mask(C, S)
-        return mask in self._masks[ci]
+        return not self._least[ci] & ~mask
 
-    def covers_map(self) -> dict:
-        return {c: self.covers(c) for c in self.category.objects}
+    def covers_map(self, *, max_arrows_into: int = 16) -> dict:
+        return {
+            c: self.covers(c, max_arrows_into=max_arrows_into)
+            for c in self.category.objects
+        }
 
     def has_empty_cover(self, c: str) -> bool:
-        return 0 in self._masks[self.category._object_index(c)]
+        return not self._least[self.category._object_index(c)]
 
     def _canonical_key(self):
         if self._key is None:
             C = self.category
             self._key = frozenset(
-                (c, frozenset(C._mask_to_members(m) for m in self._masks[ci]))
-                for ci, c in enumerate(C.objects)
+                (c, C._mask_to_members(K))
+                for c, K in zip(C.objects, self._least)
             )
         return self._key
 
@@ -85,7 +99,7 @@ class GrothendieckTopology:
         if not isinstance(other, GrothendieckTopology):
             return NotImplemented
         if self.category is other.category:
-            return self._masks == other._masks
+            return self._least == other._least
         return (
             self.category == other.category
             and self._canonical_key() == other._canonical_key()
@@ -95,11 +109,12 @@ class GrothendieckTopology:
         return hash((self.category, self._canonical_key()))
 
     def __repr__(self):
-        sizes = ", ".join(
-            f"{c}:{len(self._masks[ci])}"
-            for ci, c in enumerate(self.category.objects)
+        C = self.category
+        least = ", ".join(
+            f"{c}:{{{','.join(sorted(C._mask_to_members(K)))}}}"
+            for c, K in zip(C.objects, self._least)
         )
-        return f"GrothendieckTopology({sizes})"
+        return f"GrothendieckTopology({least})"
 
 
 def _same_category(C: FiniteCategory, J: GrothendieckTopology) -> FiniteCategory:
@@ -108,23 +123,19 @@ def _same_category(C: FiniteCategory, J: GrothendieckTopology) -> FiniteCategory
     return J.category
 
 
-def _covers_in(C: FiniteCategory, J: GrothendieckTopology):
-    """J's cover masks re-expressed in the arrow indexing of ``C``."""
+def _least_in(C: FiniteCategory, J: GrothendieckTopology):
+    """J's least covers re-expressed in the arrow indexing of ``C``."""
     if J.category is C:
-        return J._masks
+        return J._least
     if J.category != C:
         raise CategoryMismatch("topologies live on different categories")
-    out = []
     JC = J.category
-    for ci, c in enumerate(C.objects):
-        ji = JC._object_index(c)
-        out.append(
-            frozenset(
-                C._members_to_mask(JC._mask_to_members(m))
-                for m in J._masks[ji]
-            )
+    return tuple(
+        C._members_to_mask(
+            JC._mask_to_members(J._least[JC._object_index(c)])
         )
-    return tuple(out)
+        for c in C.objects
+    )
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -232,11 +243,12 @@ def validate_topology(
     ``covers`` maps object names to iterables of sieves, each given
     either as a :class:`Sieve` or as an iterable of arrow names (taken
     literally, not as generators).  The first violated axiom is raised
-    with a witness.
+    with a witness; the checks range over every sieve, under the sieve
+    enumeration bound.  Each object keeps the intersection of its list.
     """
     masks = [set() for _ in C.objects]
     if isinstance(covers, GrothendieckTopology):
-        covers = covers.covers_map()
+        covers = covers.covers_map(max_arrows_into=max_arrows_into)
     for c, sieve_list in covers.items():
         ci = C._object_index(c)
         for entry in sieve_list:
@@ -249,88 +261,128 @@ def validate_topology(
             masks[ci].add(C._members_to_mask(S.members))
     all_sieves = _all_sieves(C, max_arrows_into)
     _check_axioms(C, masks, all_sieves)
-    return GrothendieckTopology(C, masks)
+    return GrothendieckTopology(C, [reduce(and_, cset) for cset in masks])
 
 
 def trivial_topology(C: FiniteCategory) -> GrothendieckTopology:
     """The least topology: only maximal sieves cover."""
-    return GrothendieckTopology(
-        C, [{C._into_mask[ci]} for ci in range(len(C.objects))]
-    )
+    return GrothendieckTopology(C, C._into_mask)
 
 
-def _generate_masks(C, seeds, max_arrows_into):
-    """Saturate seed cover masks into the least topology containing them."""
-    all_sieves = _all_sieves(C, max_arrows_into)
-    masks = [
-        {C._into_mask[ci]} | set(seeds[ci]) for ci in range(len(C.objects))
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for ci, T, _ in _superset_violations(C, masks, all_sieves):
-            masks[ci].add(T)
+# -- the shrink ------------------------------------------------------------
+
+def _through_least(C, least, f):
+    """The composites g;f with g in the least cover of dom(f): f*(R)
+    covers iff R contains them."""
+    comp, d = C._comp, C._dom[f]
+    Kd = least[d]
+    out = 0
+    for g in C._into[d]:
+        if Kd >> g & 1:
+            out |= 1 << comp[g][f]
+    return out
+
+
+def _shrink_round(C, K):
+    """One round of the shrink on the sieves ``K``, in place: stability
+    (K_d &= f*(K_c) for every f: d -> c), then idempotence (K_c becomes
+    the composites of its arrows with K of their domains).  Both only
+    remove arrows; returns whether any was removed."""
+    dom, into, pull = C._dom, C._into, C._pull
+    changed = False
+    for ci in range(len(K)):
+        for f in into[ci]:
+            d = dom[f]
+            Kd = K[d] & pull(f, K[ci])
+            if Kd != K[d]:
+                K[d] = Kd
+                changed = True
+    for ci in range(len(K)):
+        Kc = K[ci]
+        composites = 0
+        for f in into[ci]:
+            if Kc >> f & 1:
+                composites |= _through_least(C, K, f)
+        if composites != Kc:
+            K[ci] = composites
             changed = True
-        for ci, S, f in _stability_violations(C, masks):
-            masks[C._dom[f]].add(C._pull(f, S))
-            changed = True
-        for ci, R, _ in _transitivity_violations(C, masks, all_sieves):
-            masks[ci].add(R)
-            changed = True
-    return tuple(frozenset(s) for s in masks)
+    return changed
+
+
+def _shrink(C, K):
+    """The least covers of the least topology in which the sieves ``K``
+    cover.  Each step keeps the least covers of any such topology below
+    K, so the rounds stop at the greatest stable, idempotent family."""
+    K = list(K)
+    while _shrink_round(C, K):
+        pass
+    return K
+
+
+def _least_covers_ok(C, K):
+    """Whether the up-sets of the sieves ``K`` form a topology: whether
+    they are stable and idempotent, so a round leaves them unchanged."""
+    return not _shrink_round(C, list(K))
+
+
+def _principal_closure(C, K, law_mask):
+    """The least topology in which every sieve of ``K`` (one per object)
+    and the law sieve ``law_mask`` of every principal sieve (f) cover."""
+    K = list(K)
+    for ci in range(len(K)):
+        for f in C._into[ci]:
+            K[ci] &= law_mask(C, ci, C._gen[f])
+    return GrothendieckTopology(C, _shrink(C, K))
 
 
 def generate_topology(
-    C: FiniteCategory,
-    seeds: Iterable[Sieve],
-    *,
-    max_arrows_into: int = 16,
+    C: FiniteCategory, seeds: Iterable[Sieve]
 ) -> GrothendieckTopology:
-    """The smallest topology whose covers include every seed sieve."""
-    seed_masks = [set() for _ in C.objects]
+    """The smallest topology whose covers include every seed sieve.  It
+    shrinks the intersection of each object's seeds and lists no
+    sieve."""
+    least = list(C._into_mask)
     for S in seeds:
         ci, mask = _to_mask(C, S)
-        seed_masks[ci].add(mask)
-    return GrothendieckTopology(
-        C, _generate_masks(C, seed_masks, max_arrows_into)
-    )
+        least[ci] &= mask
+    return GrothendieckTopology(C, _shrink(C, least))
 
 
 def leq_topology(J1: GrothendieckTopology, J2: GrothendieckTopology) -> bool:
-    """Whether every J1-covering sieve is J2-covering."""
+    """Whether every J1-covering sieve is J2-covering: whether each least
+    cover of J2 lies in that of J1."""
     C = J1.category
-    m2 = _covers_in(C, J2)
-    return all(a <= b for a, b in zip(J1._masks, m2))
+    return all(
+        not b & ~a for a, b in zip(J1._least, _least_in(C, J2))
+    )
 
 
 def meet_topology(
     J1: GrothendieckTopology, J2: GrothendieckTopology
 ) -> GrothendieckTopology:
-    """Objectwise intersection of cover sets."""
+    """Objectwise intersection of cover sets: the union of the least
+    covers."""
     C = J1.category
-    m2 = _covers_in(C, J2)
     return GrothendieckTopology(
-        C, [a & b for a, b in zip(J1._masks, m2)]
+        C, [a | b for a, b in zip(J1._least, _least_in(C, J2))]
     )
 
 
 def join_topology(
-    J1: GrothendieckTopology,
-    J2: GrothendieckTopology,
-    *,
-    max_arrows_into: int = 16,
+    J1: GrothendieckTopology, J2: GrothendieckTopology
 ) -> GrothendieckTopology:
-    """Least topology containing the covers of both arguments."""
+    """Least topology containing the covers of both arguments: the shrink
+    of the intersected least covers.  It lists no sieve."""
     C = J1.category
-    m2 = _covers_in(C, J2)
-    seeds = [a | b for a, b in zip(J1._masks, m2)]
-    return GrothendieckTopology(C, _generate_masks(C, seeds, max_arrows_into))
+    return GrothendieckTopology(
+        C, _shrink(C, [a & b for a, b in zip(J1._least, _least_in(C, J2))])
+    )
 
 
-def _closure_mask(C, cov_masks, ci, mask):
+def _closure_mask(C, least, ci, mask):
     out = 0
     for f in C._into[ci]:
-        if C._pull(f, mask) in cov_masks[C._dom[f]]:
+        if not _through_least(C, least, f) & ~mask:
             out |= 1 << f
     return out
 
@@ -342,53 +394,37 @@ def closure_of_sieve(
     C = _same_category(C, J)
     ci, mask = _to_mask(C, R)
     return Sieve(
-        R.base, C._mask_to_members(_closure_mask(C, J._masks, ci, mask))
+        R.base, C._mask_to_members(_closure_mask(C, J._least, ci, mask))
     )
 
 
 def is_closed(C: FiniteCategory, J: GrothendieckTopology, R: Sieve) -> bool:
     C = _same_category(C, J)
     ci, mask = _to_mask(C, R)
-    return _closure_mask(C, J._masks, ci, mask) == mask
+    return _closure_mask(C, J._least, ci, mask) == mask
 
 
 def no_empty_covers(J: GrothendieckTopology) -> bool:
     """Whether the empty sieve covers no object."""
-    return all(0 not in s for s in J._masks)
+    return all(J._least)
 
 
-def dense_topology(
-    C: FiniteCategory, *, max_arrows_into: int = 16
-) -> GrothendieckTopology:
-    """The topology whose covers are exactly the stably non-empty sieves."""
-    masks = [
-        {
-            m
-            for m in C._sieve_masks(ci, max_arrows_into)
-            if _stably_nonempty_mask(C, ci, m)
-        }
-        for ci in range(len(C.objects))
-    ]
-    return GrothendieckTopology(C, masks)
+def dense_topology(C: FiniteCategory) -> GrothendieckTopology:
+    """The topology whose covers are exactly the stably non-empty
+    sieves, generated by the sieves ``b_sieve((f))``.  It lists no
+    sieve."""
+    return _principal_closure(C, C._into_mask, _b_mask)
 
 
-def demorgan_topology(
-    C: FiniteCategory, *, max_arrows_into: int = 16
-) -> GrothendieckTopology:
-    """The topology generated by the sieves ``m_sieve(R)`` for every sieve R."""
-    seeds = []
-    for ci in range(len(C.objects)):
-        seeds.append(
-            {
-                _m_mask(C, ci, m)
-                for m in C._sieve_masks(ci, max_arrows_into)
-            }
-        )
-    return GrothendieckTopology(C, _generate_masks(C, seeds, max_arrows_into))
+def demorgan_topology(C: FiniteCategory) -> GrothendieckTopology:
+    """The topology generated by the sieves ``m_sieve(R)`` for every sieve
+    R, which the ``m_sieve((f))`` of the principal sieves generate.  It
+    lists no sieve."""
+    return _principal_closure(C, C._into_mask, _m_mask)
 
 
-def _r_masks(C, cov_masks):
-    empty = [0 in cov_masks[ci] for ci in range(len(C.objects))]
+def _r_masks(C, least):
+    empty = [not K for K in least]
     out = []
     for ci in range(len(C.objects)):
         mask = 0
@@ -399,12 +435,17 @@ def _r_masks(C, cov_masks):
     return out
 
 
-def _closed_masks(C, cov_masks, ci, max_arrows_into):
-    return [
-        m
-        for m in C._sieve_masks(ci, max_arrows_into)
-        if _closure_mask(C, cov_masks, ci, m) == m
-    ]
+def _closed_masks(C, least, ci, max_arrows_into):
+    """The closed sieves on ``ci`` in sieve order, listed lazily.  A sieve
+    R holds every arrow whose composites with the least cover of its
+    domain lie in R, so it is closed iff no other arrow's do."""
+    through = [(1 << f, _through_least(C, least, f)) for f in C._into[ci]]
+    for R in C._sieve_masks(ci, max_arrows_into):
+        for bit, F in through:
+            if not (bit & R or F & ~R):
+                break
+        else:
+            yield R
 
 
 def reduced_site(C: FiniteCategory, J: GrothendieckTopology):
@@ -412,27 +453,27 @@ def reduced_site(C: FiniteCategory, J: GrothendieckTopology):
 
     Returns ``(C, J)`` unchanged when there are no empty covers.  With K
     the arrows between kept objects, the induced topology covers S & K
-    for each cover S of a kept object c.  An arrow into c lies in K or
-    in r_c, so a sieve R of K covers iff R | r_c, the parent sieve R
-    generates joined with r_c, covers; and R | r_c contains S when
-    R = S & K.  No sieve is enumerated.
+    for each cover S of a kept object c, so its least cover is K_c & K.
+    An arrow into c lies in K or in r_c, so a sieve R of K covers iff
+    R | r_c, the parent sieve R generates joined with r_c, covers; and
+    R | r_c contains S when R = S & K.  No sieve is enumerated.
     """
     C = _same_category(C, J)
-    kept = [ci for ci in range(len(C.objects)) if 0 not in J._masks[ci]]
+    least = J._least
+    kept = [ci for ci, K in enumerate(least) if K]
     if len(kept) == len(C.objects):
         return C, J
     if not kept:
         raise EmptyReduction("every object is covered by the empty sieve")
     Ct = C._full_subcategory(kept)
-    masks = []
+    induced = []
     for ti, ci in enumerate(kept):
         # the arrows of K into c in C's order, which is also Ct's order
-        into_k = (f for f in C._into[ci] if 0 not in J._masks[C._dom[f]])
-        pairs = tuple(zip(into_k, Ct._into[ti]))
-        masks.append({
-            sum(1 << g for f, g in pairs if S >> f & 1) for S in J._masks[ci]
-        })
-    return Ct, GrothendieckTopology(Ct, masks)
+        into_k = (f for f in C._into[ci] if least[C._dom[f]])
+        induced.append(sum(
+            1 << g for f, g in zip(into_k, Ct._into[ti]) if least[ci] >> f & 1
+        ))
+    return Ct, GrothendieckTopology(Ct, induced)
 
 
 def _demorgan_criterion(C, ci, R, rmask):
@@ -473,20 +514,20 @@ def _general_witness(C, J, criteria, max_arrows_into):
     closed sieves are listed once, and no object is visited once every
     criterion has its witness."""
     C = _same_category(C, J)
-    rmask = _r_masks(C, J._masks)
-    cov_masks = J._masks
+    least = J._least
+    rmask = _r_masks(C, least)
     found = [None] * len(criteria)
     for ci in range(len(C.objects)):
         if None not in found:
             break
-        cov = cov_masks[ci]
-        closed = _closed_masks(C, cov_masks, ci, max_arrows_into)
+        K = least[ci]
+        closed = list(_closed_masks(C, least, ci, max_arrows_into))
         for k, criterion in enumerate(criteria):
             if found[k] is not None:
                 continue
             for R in closed:
                 V = criterion(C, ci, R, rmask)
-                if V not in cov:
+                if K & ~V:
                     found[k] = (
                         C.objects[ci], _from_mask(C, ci, R),
                         _from_mask(C, ci, V),
@@ -508,10 +549,10 @@ def _principal_witness(C, J, law_masks):
         return (None,) * len(law_masks)
 
     def first(law_mask):
-        for ci, cov in enumerate(Jt._masks):
+        for ci, K in enumerate(Jt._least):
             for f in Ct._into[ci]:
                 law = law_mask(Ct, ci, Ct._gen[f])
-                if law not in cov:
+                if K & ~law:
                     law_sieve = _from_mask(Ct, ci, law)
                     return Ct.objects[ci], Ct._anames[f], law_sieve
         return None
@@ -594,54 +635,23 @@ def is_boolean_reduced(
 
 
 def demorganize_site(
-    C: FiniteCategory,
-    J: GrothendieckTopology,
-    *,
-    max_arrows_into: int = 16,
+    C: FiniteCategory, J: GrothendieckTopology
 ) -> GrothendieckTopology:
     """Smallest topology above the (reduced) input whose sheaf topos
-    satisfies De Morgan's law; lives on the reduced category."""
+    satisfies De Morgan's law, its join with the De Morgan topology;
+    lives on the reduced category and lists no sieve."""
     Ct, Jt = reduced_site(C, J)
-    return join_topology(
-        Jt,
-        demorgan_topology(Ct, max_arrows_into=max_arrows_into),
-        max_arrows_into=max_arrows_into,
-    )
+    return _principal_closure(Ct, Jt._least, _m_mask)
 
 
 def booleanize_site(
-    C: FiniteCategory,
-    J: GrothendieckTopology,
-    *,
-    max_arrows_into: int = 16,
+    C: FiniteCategory, J: GrothendieckTopology
 ) -> GrothendieckTopology:
     """Smallest topology above the (reduced) input whose sheaf topos is
-    Boolean; lives on the reduced category."""
+    Boolean, its join with the dense topology; lives on the reduced
+    category and lists no sieve."""
     Ct, Jt = reduced_site(C, J)
-    return join_topology(
-        Jt,
-        dense_topology(Ct, max_arrows_into=max_arrows_into),
-        max_arrows_into=max_arrows_into,
-    )
-
-
-def _least_covers_ok(C, K):
-    """Whether the up-sets of the sieves ``K`` form a topology: K_d lies
-    in f*(K_c) for every f: d -> c (stability), and K_c is the composites
-    g;f with f in K_c, g in K_dom(f) (idempotence, or transitivity)."""
-    comp, dom, into = C._comp, C._dom, C._into
-    for ci, Kc in enumerate(K):
-        if any(K[dom[f]] & ~C._pull(f, Kc) for f in into[ci]):
-            return False
-        composites = 0
-        for f in into[ci]:
-            if Kc >> f & 1:
-                for g in into[dom[f]]:
-                    if K[dom[f]] >> g & 1:
-                        composites |= 1 << comp[g][f]
-        if composites != Kc:
-            return False
-    return True
+    return _principal_closure(Ct, Jt._least, _b_mask)
 
 
 def enumerate_topologies(
@@ -673,9 +683,7 @@ def enumerate_topologies(
     found.sort(key=lambda K: tuple(
         tuple(Kc & ~S != 0 for S in order[ci]) for ci, Kc in enumerate(K)
     ))
-    return tuple(GrothendieckTopology(
-        C, [[S for S in o if not Kc & ~S] for o, Kc in zip(order, K)]
-    ) for K in found)
+    return tuple(GrothendieckTopology(C, K) for K in found)
 
 
 def countroc_witness(
@@ -690,7 +698,7 @@ def countroc_witness(
     if not no_empty_covers(J):
         raise InputError("countroc_witness requires no empty covers")
     for ci in range(len(C.objects)):
-        if J._masks[ci] != frozenset({C._into_mask[ci]}):
+        if J._least[ci] != C._into_mask[ci]:
             continue
         incoming = C._into[ci]
         for f in incoming:

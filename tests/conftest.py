@@ -10,11 +10,11 @@ from demorgan.catalog import (
     enumerate_frames,
     enumerate_heyting_algebras,
 )
-from demorgan.errors import BoundExceeded
+from demorgan.errors import BoundExceeded, EmptyReduction
 from demorgan.fincat import FiniteCategory
 from demorgan.fixtures import category_fixtures, frame_fixtures
 from demorgan.heyting import is_boolean_algebra, is_de_morgan_algebra
-from demorgan.sieves import _b_mask, _m_mask
+from demorgan.sieves import _b_mask, _from_mask, _m_mask
 from demorgan.subobjects import _oracle, oracle_is_boolean, oracle_is_demorgan
 from demorgan.topology import (
     _boolean_criterion,
@@ -22,11 +22,26 @@ from demorgan.topology import (
     _general_witness,
     _principal_witness,
     boolean_counterexample,
+    booleanize_site,
     demorgan_counterexample,
+    demorgan_topology,
+    demorganize_site,
+    dense_topology,
     enumerate_topologies,
+    generate_topology,
+    join_topology,
+    reduced_site,
 )
 
-from oracles import naive_implication, naive_is_boolean, naive_is_de_morgan
+from oracles import (
+    cover_sets,
+    naive_implication,
+    naive_is_boolean,
+    naive_is_de_morgan,
+    saturate_covers,
+    saturated_demorgan,
+    saturated_dense,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,6 +107,47 @@ def assert_paired_sweeps_match(C, J, bound=16):
         outcome(oracle_is_demorgan, C, J, max_arrows_into=bound),
         outcome(oracle_is_boolean, C, J, max_arrows_into=bound),
     )
+
+
+def _saturated_join(C, covers, other):
+    return saturate_covers(C, [a | b for a, b in zip(covers, other)])
+
+
+def assert_builders_match_saturation(C, tops, seeds=()):
+    """The least-cover builders give the covers that saturating over
+    every sieve gives: the dense and De Morgan topologies of ``C``,
+    ``generate_topology`` from each (object index, sieve mask) of
+    ``seeds``, and for each topology of ``tops`` its joins with both and
+    its two repairs."""
+    D, M = dense_topology(C), demorgan_topology(C)
+    dense, demorgan = saturated_dense(C), saturated_demorgan(C)
+    assert cover_sets(D) == dense and cover_sets(M) == demorgan
+    for ci, mask in seeds:
+        one = [{mask} if i == ci else () for i in range(len(C.objects))]
+        S = _from_mask(C, ci, mask)
+        assert cover_sets(generate_topology(C, [S])) == saturate_covers(C, one)
+    for J in tops:
+        covers = cover_sets(J)
+        assert cover_sets(join_topology(J, D)) == (
+            _saturated_join(C, covers, dense)
+        )
+        assert cover_sets(join_topology(J, M)) == (
+            _saturated_join(C, covers, demorgan)
+        )
+        try:
+            Ct, Jt = reduced_site(C, J)
+        except EmptyReduction:
+            continue
+        if Ct is C:
+            t_dense, t_demorgan = dense, demorgan
+        else:
+            t_dense, t_demorgan = saturated_dense(Ct), saturated_demorgan(Ct)
+        assert cover_sets(demorganize_site(C, J)) == (
+            _saturated_join(Ct, cover_sets(Jt), t_demorgan)
+        )
+        assert cover_sets(booleanize_site(C, J)) == (
+            _saturated_join(Ct, cover_sets(Jt), t_dense)
+        )
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ Rewrite it only for an output change that CHANGES.md lists.
 """
 
 import io
+import itertools
 import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
@@ -60,13 +61,10 @@ def calls():
         for commands, topologies in (
             (TOPOLOGY_COMMANDS, TOPOLOGIES), (PLAIN_COMMANDS, ((),)),
         ):
-            for (head, tail) in commands:
-                for topology in topologies:
-                    for bound in BOUNDS:
-                        for fmt in FORMATS:
-                            out.append(
-                                (*head, doc, *tail, *topology, *bound, *fmt)
-                            )
+            for (head, tail), topology, bound, fmt in itertools.product(
+                commands, topologies, BOUNDS, FORMATS
+            ):
+                out.append((*head, doc, *tail, *topology, *bound, *fmt))
     return out
 
 

@@ -8,25 +8,31 @@ the package, so the two routes check each other.  Two exceptions use
 the package's topology constructors: ``principal_topology`` saturates
 with its generator, to state which seeds the De Morgan and dense
 topologies are generated by, and ``naive_reduced_site`` checks its
-covers with ``validate_topology``.  Two more are the searches that the
-package's enumerations replaced, kept as their references:
+covers with ``validate_topology``.  Three more are the searches the
+package's constructions replaced, kept as their references:
 ``naive_enumerate_topologies`` filters every product of per-object
-up-sets with the package's axiom scans, and ``fixset_search_nuclei``
-tests every candidate fixset and checks each result with
+up-sets with the package's axiom scans, ``saturate_covers`` adds
+covers over every sieve until the same scans find no violation (with
+``saturated_dense`` and ``saturated_demorgan``, the dense and De Morgan
+topologies by their definitions), and ``fixset_search_nuclei`` tests
+every candidate fixset and checks each result with
 ``validate_nucleus``.  ``sequential_report`` is the reference for
 ``report``'s paired sweeps: the six public decision routes, called one
 law and one route at a time.
 """
 
 import itertools
+from functools import reduce
+from operator import and_
 
 from demorgan.fincat import FiniteCategory
 from demorgan.frames import Nucleus, validate_nucleus
-from demorgan.sieves import Sieve
+from demorgan.sieves import Sieve, _m_mask, _stably_nonempty_mask
 from demorgan.subobjects import oracle_is_boolean, oracle_is_demorgan
 from demorgan.topology import (
     GrothendieckTopology,
     _stability_violations,
+    _superset_violations,
     _transitivity_violations,
     generate_topology,
     is_boolean_general,
@@ -297,10 +303,64 @@ def naive_enumerate_topologies(C):
         for ci in range(len(C.objects))
     ]
     return tuple(
-        GrothendieckTopology(C, combo)
+        GrothendieckTopology(C, [reduce(and_, covers) for covers in combo])
         for combo in itertools.product(*per_object)
         if next(_stability_violations(C, combo), None) is None
         and next(_transitivity_violations(C, combo, all_sieves), None) is None
+    )
+
+
+def saturate_covers(C, seeds):
+    """The covers of the least topology containing the seed cover masks
+    (one iterable per object), as one frozenset of masks per object: add
+    every superset, pullback and locally covering sieve of the covers
+    until none is missing."""
+    all_sieves = [C._sieve_masks(ci) for ci in range(len(C.objects))]
+    masks = [
+        {C._into_mask[ci]} | set(seeds[ci]) for ci in range(len(C.objects))
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for ci, T, _ in _superset_violations(C, masks, all_sieves):
+            masks[ci].add(T)
+            changed = True
+        for ci, S, f in _stability_violations(C, masks):
+            masks[C._dom[f]].add(C._pull(f, S))
+            changed = True
+        for ci, R, _ in _transitivity_violations(C, masks, all_sieves):
+            masks[ci].add(R)
+            changed = True
+    return tuple(frozenset(s) for s in masks)
+
+
+def saturated_dense(C):
+    """The dense topology's covers by definition: the stably non-empty
+    sieves."""
+    return tuple(
+        frozenset(
+            m for m in C._sieve_masks(ci) if _stably_nonempty_mask(C, ci, m)
+        )
+        for ci in range(len(C.objects))
+    )
+
+
+def saturated_demorgan(C):
+    """The De Morgan topology's covers by definition: saturated from the
+    sieves m(R) for every sieve R."""
+    return saturate_covers(C, [
+        {_m_mask(C, ci, m) for m in C._sieve_masks(ci)}
+        for ci in range(len(C.objects))
+    ])
+
+
+def cover_sets(J):
+    """Every covering sieve of each object of J, as one frozenset of
+    masks per object, read off its least covers."""
+    C = J.category
+    return tuple(
+        frozenset(m for m in C._sieve_masks(ci) if not K & ~m)
+        for ci, K in enumerate(J._least)
     )
 
 

@@ -82,7 +82,7 @@ def _then_wins_dense(C):
     """On then-wins the dense topology, which is also the De Morgan one:
     the non-identity arrows and the maximal sieve cover."""
     xs = C._members_to_mask(C.arrows_into("o") - {"id_o"})
-    return GrothendieckTopology(C, [{C._into_mask[0], xs}])
+    return GrothendieckTopology(C, [xs])
 
 
 @pytest.mark.parametrize("k", [7, 8, 17])

@@ -7,8 +7,10 @@ each, the three decision routes must agree; the reduced site must equal
 the one built from its definition; each repair must lie above the
 reduced site's topology, satisfy its law, and equal that topology
 exactly when the law already holds; the principal sieves must
-generate the De Morgan and dense topologies; and each route's paired
-sweep over both laws must return its two single-law results.
+generate the De Morgan and dense topologies; each route's paired
+sweep over both laws must return its two single-law results; and the
+least-cover builders must give the covers that saturating over every
+sieve gives.
 """
 
 import pytest
@@ -34,7 +36,10 @@ from demorgan.topology import (
     trivial_topology,
 )
 
-from conftest import assert_paired_sweeps_match
+from conftest import (
+    assert_builders_match_saturation,
+    assert_paired_sweeps_match,
+)
 from oracles import naive_reduced_site, principal_topology
 
 MAX_ARROWS_INTO = 12
@@ -148,3 +153,14 @@ def test_routes_repairs_and_principal_generators(site):
             K = repair(C, J)
             assert leq_topology(Jt, K) and law(Ct, K)
             assert (K == Jt) == holds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(concrete_sites())
+def test_least_cover_builders_match_saturation(site):
+    C, S = site
+    ci, mask = C._object_index(S.base), C._members_to_mask(S.members)
+    J = generate_topology(C, [S])
+    assert_builders_match_saturation(
+        C, [trivial_topology(C), J], [(ci, mask)]
+    )

@@ -127,7 +127,7 @@ def assert_tables_match_sieves(C, J, c, alg=None):
         for j, b in enumerate(masks):
             assert masks[alg._meet[i][j]] == a & b
             assert masks[alg._join[i][j]] == _closure_mask(
-                C, J._masks, ci, a | b
+                C, J._least, ci, a | b
             )
             arrowwise = 0
             for f, pa, pb in zip(into, pulled[i], pulled[j]):

@@ -40,6 +40,7 @@ from demorgan.topology import (
     validate_topology,
 )
 
+from conftest import assert_builders_match_saturation
 from oracles import (
     all_sieves_on,
     naive_closure,
@@ -412,6 +413,18 @@ def test_enumeration_matches_upset_search(fixtures, site_enumeration):
         assert enumerate_topologies(C) == naive_enumerate_topologies(C)
     for C, tops in site_enumeration:
         assert tops == naive_enumerate_topologies(C)
+
+
+def test_builders_match_saturation_over_catalog(fixtures, site_enumeration):
+    # every fixture and catalog4 category: its dense and De Morgan
+    # topologies, the topology generated by each of its sieves, and the
+    # joins and repairs of each of its topologies
+    cats = [(C, enumerate_topologies(C)) for C in fixtures.values()]
+    for C, tops in cats + site_enumeration:
+        seeds = [
+            (ci, m) for ci in range(len(C.objects)) for m in C._sieve_masks(ci)
+        ]
+        assert_builders_match_saturation(C, tops, seeds)
 
 
 def test_enumeration_bound_on_sieve_product():
