@@ -207,15 +207,17 @@ class FiniteCategory:
             into[c].append(f)
         self._into = tuple(tuple(fs) for fs in into)
         self._into_mask = tuple(sum(1 << f for f in fs) for fs in into)
-        gen = []
+        gen, pulls = [], []
         for f, d in enumerate(dom):
-            mask = 0
+            preimage: dict = {}
             for g in into[d]:
-                mask |= 1 << comp[g][f]
-            gen.append(mask)
+                bit = 1 << comp[g][f]
+                preimage[bit] = preimage.get(bit, 0) | 1 << g
+            gen.append(sum(preimage))
+            pulls.append(tuple(preimage.items()))
         self._gen = tuple(gen)
+        self._pulls = tuple(pulls)
         self._sieve_cache: dict = {}
-        self._pull_cache: dict = {}
         self._hash = hash(
             (frozenset(self.objects), frozenset(self.arrows.items()))
         )
@@ -346,17 +348,12 @@ class FiniteCategory:
         )
 
     def _pull(self, f: int, mask: int) -> int:
-        """Pullback of the sieve ``mask`` along arrow index ``f``."""
-        key = (f, mask)
-        cached = self._pull_cache.get(key)
-        if cached is not None:
-            return cached
-        comp = self._comp
+        """Pullback of the sieve ``mask`` along arrow index ``f``: the
+        preimage of ``mask`` under g -> g;f, one entry per composite."""
         out = 0
-        for g in self._into[self._dom[f]]:
-            if mask >> comp[g][f] & 1:
-                out |= 1 << g
-        self._pull_cache[key] = out
+        for bit, arrows in self._pulls[f]:
+            if mask & bit:
+                out |= arrows
         return out
 
     def _is_sieve_mask(self, ci: int, mask: int) -> bool:

@@ -476,9 +476,10 @@ def reduced_site(C: FiniteCategory, J: GrothendieckTopology):
     return Ct, GrothendieckTopology(Ct, induced)
 
 
-def _demorgan_criterion(C, ci, R, rmask):
+def _demorgan_criterion(C, ci, R, rmask, memo):
     """Arrows f into ``ci`` with f*(R) = R_d, or for which every g with
-    g*(f*(R)) = R_e lies in R_d."""
+    g*(f*(R)) = R_e lies in R_d.  The second test reads only d and
+    f*(R), so ``memo`` keeps its answer per (d, f*(R)) for the sweep."""
     V = 0
     for f in C._into[ci]:
         d = C._dom[f]
@@ -486,19 +487,18 @@ def _demorgan_criterion(C, ci, R, rmask):
         if fR == rmask[d]:
             V |= 1 << f
             continue
-        ok = True
-        for g in C._into[d]:
-            if C._pull(g, fR) == rmask[C._dom[g]] and not (
-                rmask[d] >> g & 1
-            ):
-                ok = False
-                break
+        ok = memo.get((d, fR))
+        if ok is None:
+            ok = memo[d, fR] = all(
+                C._pull(g, fR) != rmask[C._dom[g]] or rmask[d] >> g & 1
+                for g in C._into[d]
+            )
         if ok:
             V |= 1 << f
     return V
 
 
-def _boolean_criterion(C, ci, R, rmask):
+def _boolean_criterion(C, ci, R, rmask, memo):
     """Arrows f into ``ci`` with f in R or f*(R) = R_d."""
     V = 0
     for f in C._into[ci]:
@@ -517,6 +517,7 @@ def _general_witness(C, J, criteria, max_arrows_into):
     least = J._least
     rmask = _r_masks(C, least)
     found = [None] * len(criteria)
+    memos = [{} for _ in criteria]
     for ci in range(len(C.objects)):
         if None not in found:
             break
@@ -526,7 +527,7 @@ def _general_witness(C, J, criteria, max_arrows_into):
             if found[k] is not None:
                 continue
             for R in closed:
-                V = criterion(C, ci, R, rmask)
+                V = criterion(C, ci, R, rmask, memos[k])
                 if K & ~V:
                     found[k] = (
                         C.objects[ci], _from_mask(C, ci, R),
