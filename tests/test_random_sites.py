@@ -10,7 +10,8 @@ exactly when the law already holds; the principal sieves must
 generate the De Morgan and dense topologies; each route's paired
 sweep over both laws must return its two single-law results; and the
 least-cover builders must give the covers that saturating over every
-sieve gives.
+sieve gives; and pulling a sieve back along an arrow must give the
+arrows whose composite with it lies in the sieve.
 """
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from demorgan.errors import BoundExceeded, EmptyReduction
 from demorgan.fincat import FiniteCategory
-from demorgan.sieves import b_sieve, generate_sieve, m_sieve
+from demorgan.sieves import b_sieve, generate_sieve, m_sieve, pullback_sieve
 from demorgan.subobjects import oracle_is_boolean, oracle_is_demorgan
 from demorgan.topology import (
     booleanize_site,
@@ -40,7 +41,7 @@ from conftest import (
     assert_builders_match_saturation,
     assert_paired_sweeps_match,
 )
-from oracles import naive_reduced_site, principal_topology
+from oracles import naive_pullback, naive_reduced_site, principal_topology
 
 MAX_ARROWS_INTO = 12
 
@@ -164,3 +165,13 @@ def test_least_cover_builders_match_saturation(site):
     assert_builders_match_saturation(
         C, [trivial_topology(C), J], [(ci, mask)]
     )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(concrete_sites())
+def test_pullback_matches_composites(site):
+    # random functions send many arrows g to one composite g;f, which
+    # the per-arrow preimage tables must all keep
+    C, S = site
+    for f in sorted(C.arrows_into(S.base)):
+        assert pullback_sieve(C, f, S) == naive_pullback(C, f, S)
