@@ -286,7 +286,7 @@ def _cmd_topology_validate(args):
         ]
         covers[obj] = entries + [maximal_sieve(C, obj)]
     try:
-        validate_topology(C, covers, max_arrows_into=args.max_sieve_arrows)
+        validate_topology(C, covers)
     except InputError as exc:
         payload = {"valid": False, "reason": str(exc)}
         return _emit(payload, args, ["invalid", f"  {exc}"])
@@ -543,9 +543,10 @@ def _bound(text: str) -> int:
     return value
 
 
-def _add_common(p, site=True, output=False, topology=False):
+def _add_common(p, site=True, output=False, topology=False, bound=True):
     if site:
         p.add_argument("site", help="site document (JSON)")
+    if site and bound:
         p.add_argument(
             "--max-sieve-arrows", type=_bound, default=16, metavar="N",
             help="per-object sieve enumeration bound (default 16)",
@@ -579,12 +580,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("ore", help="check the right Ore condition")
-    _add_common(p)
+    _add_common(p, bound=False)
     p.set_defaults(fn=_cmd_ore)
 
     p = sub.add_parser("mono", help="check whether an arrow is monic")
     p.add_argument("arrow")
-    _add_common(p)
+    _add_common(p, bound=False)
     p.set_defaults(fn=_cmd_is_mono)
 
     p = sub.add_parser("sieves", help="list all sieves on an object")
@@ -595,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("topology", help="validate/generate/compare topologies")
     tsub = p.add_subparsers(dest="subcommand", required=True)
     q = tsub.add_parser("validate", help="check the listed covers literally")
-    _add_common(q)
+    _add_common(q, bound=False)
     q.set_defaults(fn=_cmd_topology_validate)
     q = tsub.add_parser("generate", help="saturate the covers into a topology")
     _add_common(q, output=True)
@@ -603,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         fn=_cmd_show_topology, topology=None, title="generated topology"
     )
     q = tsub.add_parser("compare", help="compare two topologies on one category")
-    _add_common(q)
+    _add_common(q, bound=False)
     q.add_argument("other", help="second site document")
     q.set_defaults(fn=_cmd_topology_compare)
 
@@ -622,6 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("boolean", "is the sheaf topos Boolean"),
     ]:
         p = sub.add_parser(f"is-{law}", help=desc)
+        # --max-sieve-arrows bounds the general and oracle methods; the
+        # reduced method lists no sieve and ignores it
         _add_common(p, topology=True)
         p.add_argument(
             "--method", choices=["general", "reduced", "oracle"],

@@ -73,7 +73,7 @@ class CategoryMismatch(InputError):
 
 
 class TopologyAxiomError(InputError):
-    """A covering family violates one of the four topology axioms.
+    """A covering family violates a topology axiom.
 
     Instances carry a ``witness`` attribute with the offending data.
     """
@@ -92,10 +92,6 @@ class NotStable(TopologyAxiomError):
 
 
 class NotTransitive(TopologyAxiomError):
-    pass
-
-
-class NotSupersetClosed(TopologyAxiomError):
     pass
 
 

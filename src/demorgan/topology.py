@@ -12,7 +12,10 @@ On a finite category the covers of an object c are the sieves that
 contain one least cover K_c, kept as a sieve bitmask in the indexing of
 the underlying category: S covers c iff ``not K_c & ~S``.  Generation,
 joins, the dense and De Morgan topologies and the repairs shrink one
-sieve per object to a topology (``_shrink``) and list no sieve.
+sieve per object to a topology (``_shrink``) and list no sieve.  So
+does ``validate_topology``: a cover list must be the up-set of its
+intersection K_c, and the K_c stable (K_d in f*(K_c) for f: d -> c) and
+idempotent (K_c the composites of its arrows with K of their domains).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 from functools import reduce
 from math import prod
 from operator import and_
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     BoundExceeded,
@@ -30,7 +33,6 @@ from .errors import (
     InputError,
     NotMaximalClosed,
     NotStable,
-    NotSupersetClosed,
     NotTransitive,
     UnknownObject,
 )
@@ -151,117 +153,89 @@ def _stability_violations(C, masks):
                     yield ci, S, f
 
 
-def _transitivity_violations(C, masks, all_sieves):
-    """Yield (ci, R, S) for each non-covering R on ci whose pullback
-    along every arrow of some cover S is covering."""
-    for ci in range(len(masks)):
-        cset = masks[ci]
-        for R in all_sieves[ci]:
-            if R in cset:
-                continue
-            for S in cset:
-                rest = S
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    h = bit.bit_length() - 1
-                    if C._pull(h, R) not in masks[C._dom[h]]:
-                        break
-                else:
-                    yield ci, R, S
-                    break
+def _upset_violations(C, masks):
+    """Yield (ci, R, S) for each unlisted R on ci that is a listed S
+    with one more principal sieve, or the meet of S with the listed
+    sieves before it.  Once the lists are stable and hold the maximal
+    sieves, R is locally covering along S; with none, each list is the
+    up-set of its intersection."""
+    for ci, listed in enumerate(masks):
+        for S in listed:
+            for f in C._into[ci]:
+                if S | C._gen[f] not in listed:
+                    yield ci, S | C._gen[f], S
+        meet = C._into_mask[ci]
+        for S in listed:
+            meet &= S
+            if meet not in listed:
+                yield ci, meet, S
 
 
-def _superset_violations(C, masks, all_sieves):
-    """Yield (ci, T, S) for each non-covering T on ci that contains a
-    cover S."""
-    for ci in range(len(masks)):
-        cset = masks[ci]
-        for T in all_sieves[ci]:
-            if T in cset:
-                continue
-            for S in cset:
-                if not S & ~T:
-                    yield ci, T, S
-                    break
+def _not_stable(C, ci, S, f):
+    return NotStable(
+        f"pullback of a covering sieve on {C.objects[ci]!r} along "
+        f"{C._anames[f]!r} is not covering",
+        witness=(C.objects[ci], _from_mask(C, ci, S), C._anames[f]),
+    )
 
 
-def _check_axioms(C, masks, all_sieves):
-    """Raise the first violated topology axiom with a witness."""
-    for ci in range(len(masks)):
-        if C._into_mask[ci] not in masks[ci]:
-            raise NotMaximalClosed(
-                f"the maximal sieve on {C.objects[ci]!r} is not covering",
-                witness=(C.objects[ci],),
-            )
-    for ci, S, f in _stability_violations(C, masks):
-        raise NotStable(
-            f"pullback of a covering sieve on {C.objects[ci]!r} along "
-            f"{C._anames[f]!r} is not covering",
-            witness=(
-                C.objects[ci],
-                Sieve(C.objects[ci], C._mask_to_members(S)),
-                C._anames[f],
-            ),
-        )
-    for ci, R, S in _transitivity_violations(C, masks, all_sieves):
-        raise NotTransitive(
-            f"a sieve on {C.objects[ci]!r} is locally covering but not "
-            f"covering",
-            witness=(
-                C.objects[ci],
-                Sieve(C.objects[ci], C._mask_to_members(R)),
-                Sieve(C.objects[ci], C._mask_to_members(S)),
-            ),
-        )
-    for ci, T, S in _superset_violations(C, masks, all_sieves):
-        raise NotSupersetClosed(
-            f"a superset of a covering sieve on {C.objects[ci]!r} is not "
-            f"covering",
-            witness=(
-                C.objects[ci],
-                Sieve(C.objects[ci], C._mask_to_members(T)),
-                Sieve(C.objects[ci], C._mask_to_members(S)),
-            ),
-        )
+def _not_transitive(C, ci, R, S):
+    return NotTransitive(
+        f"a sieve on {C.objects[ci]!r} is locally covering but not "
+        f"covering",
+        witness=(C.objects[ci], _from_mask(C, ci, R), _from_mask(C, ci, S)),
+    )
 
 
-def _all_sieves(C: FiniteCategory, max_arrows_into: int):
-    return [
-        C._sieve_masks(ci, max_arrows_into) for ci in range(len(C.objects))
-    ]
-
-
-def validate_topology(
-    C: FiniteCategory,
-    covers,
-    *,
-    max_arrows_into: int = 16,
-) -> GrothendieckTopology:
-    """Check a raw covering assignment against the four topology axioms.
+def validate_topology(C: FiniteCategory, covers) -> GrothendieckTopology:
+    """Check a raw covering assignment and return its topology.
 
     ``covers`` maps object names to iterables of sieves, each given
     either as a :class:`Sieve` or as an iterable of arrow names (taken
-    literally, not as generators).  The first violated axiom is raised
-    with a witness; the checks range over every sieve, under the sieve
-    enumeration bound.  Each object keeps the intersection of its list.
+    literally, not as generators).  The checks run in order, and the
+    first failure is raised with a witness: every maximal sieve is
+    listed (``NotMaximalClosed``); the pullback of a listed sieve is
+    listed (``NotStable``); each list is the up-set of its intersection
+    K_c, and each K_c is the composites of its arrows with the least
+    covers of their domains (``NotTransitive``).  A
+    :class:`GrothendieckTopology` is checked through its least covers,
+    for stability and then idempotence.  No sieve is enumerated.
     """
-    masks = [set() for _ in C.objects]
     if isinstance(covers, GrothendieckTopology):
-        covers = covers.covers_map(max_arrows_into=max_arrows_into)
-    for c, sieve_list in covers.items():
-        ci = C._object_index(c)
-        for entry in sieve_list:
-            S = entry if isinstance(entry, Sieve) else Sieve(c, entry)
-            if S.base != c:
-                raise UnknownObject(
-                    f"sieve on {S.base!r} listed under object {c!r}"
+        least = _least_in(C, covers)
+        for ci, K in enumerate(least):
+            for f in C._into[ci]:
+                if least[C._dom[f]] & ~C._pull(f, K):
+                    raise _not_stable(C, ci, K, f)
+    else:
+        masks = [set() for _ in C.objects]
+        for c, sieve_list in covers.items():
+            ci = C._object_index(c)
+            for entry in sieve_list:
+                S = entry if isinstance(entry, Sieve) else Sieve(c, entry)
+                if S.base != c:
+                    raise UnknownObject(
+                        f"sieve on {S.base!r} listed under object {c!r}"
+                    )
+                check_sieve(C, S)
+                masks[ci].add(C._members_to_mask(S.members))
+        for ci in range(len(masks)):
+            if C._into_mask[ci] not in masks[ci]:
+                raise NotMaximalClosed(
+                    f"the maximal sieve on {C.objects[ci]!r} is not covering",
+                    witness=(C.objects[ci],),
                 )
-            check_sieve(C, S)
-            masks[ci].add(C._members_to_mask(S.members))
-    all_sieves = _all_sieves(C, max_arrows_into)
-    _check_axioms(C, masks, all_sieves)
-    return GrothendieckTopology(C, [reduce(and_, cset) for cset in masks])
+        for v in _stability_violations(C, masks):
+            raise _not_stable(C, *v)
+        for v in _upset_violations(C, masks):
+            raise _not_transitive(C, *v)
+        least = [reduce(and_, cset) for cset in masks]
+    for ci, K in enumerate(least):
+        # the composites lie in K; fewer are locally covering along K
+        R = _composites(C, least, ci)
+        if R != K:
+            raise _not_transitive(C, ci, R, K)
+    return GrothendieckTopology(C, least)
 
 
 def trivial_topology(C: FiniteCategory) -> GrothendieckTopology:
@@ -283,6 +257,17 @@ def _through_least(C, least, f):
     return out
 
 
+def _composites(C, least, ci):
+    """The composites of the arrows of ``least[ci]`` with the least
+    covers of their domains."""
+    K = least[ci]
+    out = 0
+    for f in C._into[ci]:
+        if K >> f & 1:
+            out |= _through_least(C, least, f)
+    return out
+
+
 def _shrink_round(C, K):
     """One round of the shrink on the sieves ``K``, in place: stability
     (K_d &= f*(K_c) for every f: d -> c), then idempotence (K_c becomes
@@ -298,12 +283,8 @@ def _shrink_round(C, K):
                 K[d] = Kd
                 changed = True
     for ci in range(len(K)):
-        Kc = K[ci]
-        composites = 0
-        for f in into[ci]:
-            if Kc >> f & 1:
-                composites |= _through_least(C, K, f)
-        if composites != Kc:
+        composites = _composites(C, K, ci)
+        if composites != K[ci]:
             K[ci] = composites
             changed = True
     return changed
@@ -611,27 +592,17 @@ def is_boolean_general(
     return found[0] is None
 
 
-def is_demorgan_reduced(
-    C: FiniteCategory,
-    J: GrothendieckTopology,
-    *,
-    max_arrows_into: int = 16,
-) -> bool:
+def is_demorgan_reduced(C: FiniteCategory, J: GrothendieckTopology) -> bool:
     """De Morgan test on the reduced site: the induced topology must
     cover m((f)) for every arrow f into every object.  It enumerates no
-    sieve; ``max_arrows_into`` is accepted and unused."""
+    sieve."""
     return _principal_witness(C, J, (_m_mask,))[0] is None
 
 
-def is_boolean_reduced(
-    C: FiniteCategory,
-    J: GrothendieckTopology,
-    *,
-    max_arrows_into: int = 16,
-) -> bool:
+def is_boolean_reduced(C: FiniteCategory, J: GrothendieckTopology) -> bool:
     """Excluded-middle test on the reduced site: the induced topology
     must cover b((f)) for every arrow f into every object.  It
-    enumerates no sieve; ``max_arrows_into`` is accepted and unused."""
+    enumerates no sieve."""
     return _principal_witness(C, J, (_b_mask,))[0] is None
 
 
@@ -676,7 +647,9 @@ def enumerate_topologies(
             f"category has {nonid} non-identity arrows, above the "
             f"enumeration bound {max_nonidentity_arrows}"
         )
-    sieves = _all_sieves(C, max_arrows_into)
+    sieves = [
+        C._sieve_masks(ci, max_arrows_into) for ci in range(len(C.objects))
+    ]
     if prod(map(len, sieves)) > 2_000_000:
         raise BoundExceeded("the lattice of topologies is too large")
     found = [K for K in itertools.product(*sieves) if _least_covers_ok(C, K)]

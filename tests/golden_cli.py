@@ -8,11 +8,12 @@ root, on a site document of ``tests/data`` or on
 whose closed-sieve algebra is past the oracle's carrier bound).  The
 stdout, stderr and exit code of each call are recorded under the call's
 command line.  Running this file rewrites the golden file from the
-current code::
+current code, together with the per-category witness digests of
+``golden_digests.py``::
 
     PYTHONPATH=src python tests/golden_cli.py
 
-Rewrite it only for an output change that CHANGES.md lists.
+Rewrite them only for an output change that CHANGES.md lists.
 """
 
 import io
@@ -23,6 +24,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from demorgan.cli import main
+
+import golden_digests
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli_outputs.json"
@@ -90,3 +93,4 @@ if __name__ == "__main__":
         encoding="utf-8",
     )
     print(f"wrote {GOLDEN.relative_to(ROOT)}")
+    golden_digests.write()

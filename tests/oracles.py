@@ -8,32 +8,43 @@ the package, so the two routes check each other.  Two exceptions use
 the package's topology constructors: ``principal_topology`` saturates
 with its generator, to state which seeds the De Morgan and dense
 topologies are generated by, and ``naive_reduced_site`` checks its
-covers with ``validate_topology``.  Three more are the searches the
+covers with ``validate_topology``.  Four more are the searches the
 package's constructions replaced, kept as their references:
-``naive_enumerate_topologies`` filters every product of per-object
-up-sets with the package's axiom scans, ``saturate_covers`` adds
-covers over every sieve until the same scans find no violation (with
-``saturated_dense`` and ``saturated_demorgan``, the dense and De Morgan
-topologies by their definitions), and ``fixset_search_nuclei`` tests
-every candidate fixset and checks each result with
-``validate_nucleus``.  ``sequential_report`` is the reference for
+``naive_validate_topology`` checks a literal cover list against the
+four axioms by scanning every sieve, ``naive_enumerate_topologies``
+filters every product of per-object up-sets with the same axiom scans,
+``saturate_covers`` adds covers over every sieve until those scans find
+no violation (with ``saturated_dense`` and ``saturated_demorgan``, the
+dense and De Morgan topologies by their definitions), and
+``fixset_search_nuclei`` tests every candidate fixset and checks each
+result with ``validate_nucleus``.  ``sequential_report`` is the reference for
 ``report``'s paired sweeps: the six public decision routes, called one
 law and one route at a time.
 """
 
 import itertools
-from functools import reduce
+from functools import partial, reduce
 from operator import and_
 
+from demorgan.errors import (
+    NotMaximalClosed,
+    NotStable,
+    NotTransitive,
+    TopologyAxiomError,
+    UnknownObject,
+)
 from demorgan.fincat import FiniteCategory
 from demorgan.frames import Nucleus, validate_nucleus
-from demorgan.sieves import Sieve, _m_mask, _stably_nonempty_mask
+from demorgan.sieves import (
+    Sieve,
+    _m_mask,
+    _stably_nonempty_mask,
+    check_sieve,
+)
 from demorgan.subobjects import oracle_is_boolean, oracle_is_demorgan
 from demorgan.topology import (
     GrothendieckTopology,
     _stability_violations,
-    _superset_violations,
-    _transitivity_violations,
     generate_topology,
     is_boolean_general,
     is_boolean_reduced,
@@ -265,6 +276,108 @@ def naive_reduced_site(C, J):
     return Ct, validate_topology(Ct, covers)
 
 
+def _transitivity_violations(C, masks, all_sieves):
+    """Yield (ci, R, S) for each non-covering R on ci whose pullback
+    along every arrow of some cover S is covering."""
+    for ci in range(len(masks)):
+        cset = masks[ci]
+        for R in all_sieves[ci]:
+            if R in cset:
+                continue
+            for S in cset:
+                rest = S
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    h = bit.bit_length() - 1
+                    if C._pull(h, R) not in masks[C._dom[h]]:
+                        break
+                else:
+                    yield ci, R, S
+                    break
+
+
+def _superset_violations(C, masks, all_sieves):
+    """Yield (ci, T, S) for each non-covering T on ci that contains a
+    cover S."""
+    for ci in range(len(masks)):
+        cset = masks[ci]
+        for T in all_sieves[ci]:
+            if T in cset:
+                continue
+            for S in cset:
+                if not S & ~T:
+                    yield ci, T, S
+                    break
+
+
+class NotSupersetClosed(TopologyAxiomError):
+    """A superset of a listed cover is not listed.
+    ``naive_validate_topology`` checks this last, after transitivity,
+    which already refuses such a list."""
+
+
+def naive_validate_topology(C, covers, *, max_arrows_into=16):
+    """Check a raw covering assignment against the four topology axioms
+    by scanning every sieve, under the sieve enumeration bound: the
+    maximal sieves, stability, then transitivity and superset closure
+    over all sieves.  The first violated axiom is raised with a witness.
+    Each object keeps the intersection of its list."""
+    masks = [set() for _ in C.objects]
+    if isinstance(covers, GrothendieckTopology):
+        covers = covers.covers_map(max_arrows_into=max_arrows_into)
+    for c, sieve_list in covers.items():
+        ci = C._object_index(c)
+        for entry in sieve_list:
+            S = entry if isinstance(entry, Sieve) else Sieve(c, entry)
+            if S.base != c:
+                raise UnknownObject(
+                    f"sieve on {S.base!r} listed under object {c!r}"
+                )
+            check_sieve(C, S)
+            masks[ci].add(C._members_to_mask(S.members))
+    all_sieves = [
+        C._sieve_masks(ci, max_arrows_into) for ci in range(len(C.objects))
+    ]
+    for ci in range(len(masks)):
+        if C._into_mask[ci] not in masks[ci]:
+            raise NotMaximalClosed(
+                f"the maximal sieve on {C.objects[ci]!r} is not covering",
+                witness=(C.objects[ci],),
+            )
+    for ci, S, f in _stability_violations(C, masks):
+        raise NotStable(
+            f"pullback of a covering sieve on {C.objects[ci]!r} along "
+            f"{C._anames[f]!r} is not covering",
+            witness=(
+                C.objects[ci],
+                Sieve(C.objects[ci], C._mask_to_members(S)),
+                C._anames[f],
+            ),
+        )
+    for ci, R, S in _transitivity_violations(C, masks, all_sieves):
+        raise NotTransitive(
+            f"a sieve on {C.objects[ci]!r} is locally covering but not "
+            f"covering",
+            witness=(
+                C.objects[ci],
+                Sieve(C.objects[ci], C._mask_to_members(R)),
+                Sieve(C.objects[ci], C._mask_to_members(S)),
+            ),
+        )
+    for ci, T, S in _superset_violations(C, masks, all_sieves):
+        raise NotSupersetClosed(
+            f"a superset of a covering sieve on {C.objects[ci]!r} is not "
+            f"covering",
+            witness=(
+                C.objects[ci],
+                Sieve(C.objects[ci], C._mask_to_members(T)),
+                Sieve(C.objects[ci], C._mask_to_members(S)),
+            ),
+        )
+    return GrothendieckTopology(C, [reduce(and_, cset) for cset in masks])
+
+
 def _upsets_containing_top(sieves, top):
     """All upward-closed (under inclusion) subsets containing the top,
     largest sieve first, each sieve included before it is left out."""
@@ -398,17 +511,18 @@ def fixset_search_nuclei(F):
 def sequential_report(C, J, bound):
     """``report``'s verdicts from six separate route calls: De Morgan's
     law by the general, reduced and oracle routes, then excluded middle
-    by the same three.  Returns one {route: verdict} dict per law; the
-    first route to refuse raises its BoundExceeded."""
+    by the same three.  The reduced routes list no sieve, so only the
+    other two take ``bound``.  Returns one {route: verdict} dict per law;
+    the first route to refuse raises its BoundExceeded."""
+    def bounded(route):
+        return partial(route, max_arrows_into=bound)
+
     routes = {
-        "general": (is_demorgan_general, is_boolean_general),
+        "general": (bounded(is_demorgan_general), bounded(is_boolean_general)),
         "reduced": (is_demorgan_reduced, is_boolean_reduced),
-        "oracle": (oracle_is_demorgan, oracle_is_boolean),
+        "oracle": (bounded(oracle_is_demorgan), bounded(oracle_is_boolean)),
     }
     return tuple(
-        {
-            name: laws[k](C, J, max_arrows_into=bound)
-            for name, laws in routes.items()
-        }
+        {name: laws[k](C, J) for name, laws in routes.items()}
         for k in (0, 1)
     )

@@ -364,6 +364,12 @@ def test_parser_built_once_per_process(capsys):
     ("report", DATA / "cspan.json", "--max-frame-elements", "3"),
     ("frame", "classify", DATA / "frm5.json", "--max-frame-elements", "3"),
     ("heyting", "check", DATA / "frm5.json", "--max-sieve-arrows", "3"),
+    ("ore", DATA / "cspan_fg.json", "--max-sieve-arrows", "0"),
+    ("mono", "e", DATA / "mon2.json", "--max-sieve-arrows", "0"),
+    ("topology", "validate", DATA / "cspan_fg.json",
+     "--max-sieve-arrows", "0"),
+    ("topology", "compare", DATA / "cspan_fg.json", DATA / "cspan.json",
+     "--max-sieve-arrows", "0"),
 ])
 def test_inapplicable_bound_flag_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -391,6 +397,17 @@ def test_sieve_bound_reaches_site_covers(capsys):
     ):
         code, _, err = run(capsys, *argv, "--max-sieve-arrows", "2")
         assert code == 3 and "bound" in err
+
+
+def test_topology_validate_past_the_sieve_bound(tmp_path, capsys):
+    # 18 arrows into o: the least covers are checked and no sieve is
+    # listed, also with z covered by the empty sieve
+    doc = tmp_path / "then_wins17.json"
+    data = site_to_data(then_wins(17, "z"))
+    data["covers"] = {"z": [[]]}
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "topology", "validate", doc)
+    assert (code, out, err) == (0, "valid\n", "")
 
 
 _ARROW_F = {"name": "f", "dom": "a", "cod": "c"}

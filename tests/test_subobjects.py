@@ -194,7 +194,6 @@ def test_reduced_routes_decide_past_the_sieve_bound():
             "o": [maximal_sieve(Cz, "o")],
             "z": [empty_sieve(Cz, "z"), maximal_sieve(Cz, "z")],
         },
-        max_arrows_into=18,
     )
     sites.append((Cz, Jz))
     for C, J in sites:

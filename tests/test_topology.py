@@ -1,3 +1,6 @@
+import collections
+import random
+
 import pytest
 
 from demorgan.errors import (
@@ -6,17 +9,21 @@ from demorgan.errors import (
     EmptyReduction,
     InputError,
     NotStable,
+    NotTransitive,
+    TopologyAxiomError,
 )
 from demorgan.fincat import right_ore
 from demorgan.fixtures import discrete
 from demorgan.sieves import (
     Sieve,
+    _from_mask,
     empty_sieve,
     enumerate_sieves,
     generate_sieve,
     maximal_sieve,
 )
 from demorgan.topology import (
+    GrothendieckTopology,
     booleanize_site,
     closure_of_sieve,
     countroc_witness,
@@ -46,6 +53,7 @@ from oracles import (
     naive_closure,
     naive_enumerate_topologies,
     naive_reduced_site,
+    naive_validate_topology,
 )
 
 
@@ -93,6 +101,109 @@ def test_validate_requires_maximal(fixtures):
     C = fixtures["mon2"]
     with pytest.raises(InputError):
         validate_topology(C, {"*": [Sieve("*", {"e"})]})
+
+
+def _literal_families(C, tops, rng, n):
+    """``n`` derandomized literal cover families on ``C``, one list of
+    sieve masks per object: a random set of sieves (the maximal sieve
+    left out 1 time in 50), the up-set of a random sieve per object, or
+    the up-sets of a topology of ``tops``; the last two with one sieve
+    of one object added or taken away half the time."""
+    sieves = [C._sieve_masks(ci) for ci in range(len(C.objects))]
+    for _ in range(n):
+        kind = rng.randrange(3)
+        if kind == 0:
+            fam = [
+                [m for m in s if m != top and rng.random() < 0.5]
+                + ([top] if rng.random() >= 0.02 else [])
+                for s, top in zip(sieves, C._into_mask)
+            ]
+        else:
+            least = (
+                [rng.choice(s) for s in sieves] if kind == 1
+                else rng.choice(tops)._least
+            )
+            fam = [
+                [m for m in s if not K & ~m] for s, K in zip(sieves, least)
+            ]
+            if rng.random() < 0.5:
+                ci = rng.randrange(len(sieves))
+                m = rng.choice(sieves[ci])
+                if m in fam[ci]:
+                    fam[ci].remove(m)
+                else:
+                    fam[ci].append(m)
+        for listed in fam:
+            rng.shuffle(listed)
+        yield fam
+
+
+def _outcome(validate, C, covers):
+    try:
+        return validate(C, covers)
+    except TopologyAxiomError as exc:
+        return exc
+
+
+def test_validate_matches_four_axiom_scan(fixtures, site_enumeration):
+    # literal families on every fixture and catalog4 category: the same
+    # verdict and exception type as the four-axiom scan over every sieve,
+    # the same message and witness for NotMaximalClosed and NotStable,
+    # and a NotTransitive witness (c, R, S) with R an unlisted sieve,
+    # S listed and every pullback of R along S listed
+    rng = random.Random(22)
+    cats = [(C, enumerate_topologies(C)) for C in fixtures.values()]
+    named = collections.Counter()
+    for C, tops in cats + site_enumeration:
+        for fam in _literal_families(C, tops, rng, 12):
+            covers = {
+                c: [_from_mask(C, ci, m) for m in fam[ci]]
+                for ci, c in enumerate(C.objects)
+            }
+            got = _outcome(validate_topology, C, covers)
+            want = _outcome(naive_validate_topology, C, covers)
+            assert type(got) is type(want)
+            named[type(got).__name__] += 1
+            if isinstance(got, GrothendieckTopology):
+                assert got == want
+            elif not isinstance(got, NotTransitive):
+                assert (str(got), got.witness) == (str(want), want.witness)
+            else:
+                c, R, S = got.witness
+                ci = C._object_index(c)
+                r = C._members_to_mask(R.members)
+                s = C._members_to_mask(S.members)
+                assert C._is_sieve_mask(ci, r)
+                assert r not in fam[ci] and s in fam[ci]
+                for h in C._into[ci]:
+                    if s >> h & 1:
+                        assert C._pull(h, r) in fam[C._dom[h]]
+    # every kind of outcome is reached
+    assert set(named) == {
+        "GrothendieckTopology", "NotMaximalClosed", "NotStable",
+        "NotTransitive",
+    }
+
+
+def test_validate_checks_least_covers(fixtures, site_enumeration):
+    # every enumerated topology validates as itself
+    cats = [(C, enumerate_topologies(C)) for C in fixtures.values()]
+    for C, tops in cats + site_enumeration:
+        for J in tops:
+            assert validate_topology(C, J) == J
+    # an unstable family: {f} on c pulls back to the empty sieve along g
+    C = fixtures["cspan"]
+    K = [C._into_mask[0], C._into_mask[1], C._members_to_mask({"f"})]
+    with pytest.raises(NotStable) as exc:
+        validate_topology(C, GrothendieckTopology(C, K))
+    assert exc.value.witness == ("c", Sieve("c", {"f"}), "g")
+    # a stable, non-idempotent family on f: a -> b: the empty sieve
+    # covers a and (f) covers b, so the empty sieve covers b
+    C = fixtures["arrow"]
+    K = [0, C._members_to_mask({"f"})]
+    with pytest.raises(NotTransitive) as exc:
+        validate_topology(C, GrothendieckTopology(C, K))
+    assert exc.value.witness == ("b", Sieve("b"), Sieve("b", {"f"}))
 
 
 # -- generation ---------------------------------------------------------------
