@@ -162,9 +162,12 @@ def site_to_data(C: FiniteCategory, J: GrothendieckTopology | None = None) -> di
 
 
 def _write_json(path: str, data: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def write_site(path: str, C: FiniteCategory, J: GrothendieckTopology | None = None):

@@ -405,6 +405,8 @@ def demorgan_topology(C: FiniteCategory) -> GrothendieckTopology:
 
 
 def _r_masks(C, least):
+    """r_c for each object c: the arrows into c from the objects that the
+    empty sieve covers.  Every closed sieve on c holds r_c."""
     empty = [not K for K in least]
     out = []
     for ci in range(len(C.objects)):
@@ -418,9 +420,16 @@ def _r_masks(C, least):
 
 def _closed_masks(C, least, ci, max_arrows_into):
     """The closed sieves on ``ci`` in sieve order, listed lazily.  A sieve
-    R holds every arrow whose composites with the least cover of its
-    domain lie in R, so it is closed iff no other arrow's do."""
-    through = [(1 << f, _through_least(C, least, f)) for f in C._into[ci]]
+    R holds every arrow f whose composites F_f with the least cover of
+    its domain lie in R, so it is closed iff no other arrow's do.  An
+    arrow with F_f = (f) lies in every sieve that holds F_f, so only the
+    arrows with F_f != (f) are tested; under the trivial topology there
+    are none."""
+    through = []
+    for f in C._into[ci]:
+        F = _through_least(C, least, f)
+        if F != C._gen[f]:
+            through.append((1 << f, F))
     for R in C._sieve_masks(ci, max_arrows_into):
         for bit, F in through:
             if not (bit & R or F & ~R):
@@ -457,58 +466,69 @@ def reduced_site(C: FiniteCategory, J: GrothendieckTopology):
     return Ct, GrothendieckTopology(Ct, induced)
 
 
-def _demorgan_criterion(C, ci, R, rmask, memo):
-    """Arrows f into ``ci`` with f*(R) = R_d, or for which every g with
-    g*(f*(R)) = R_e lies in R_d.  The second test reads only d and
-    f*(R), so ``memo`` keeps its answer per (d, f*(R)) for the sweep."""
+def _negation_masks(C, rmask, ci):
+    """(1 << f, A_f) for each arrow f into ``ci``, with A_f the composites
+    h;f of the arrows h into dom f outside r_{dom f}.  A closed R on
+    ``ci`` holds r_ci, so f*(R) holds r_{dom f}, and the two are equal,
+    f in the negation of R, iff ``not A_f & R``."""
+    comp, dom, into = C._comp, C._dom, C._into
+    out = []
+    for f in into[ci]:
+        rd = rmask[dom[f]]
+        A = 0
+        for h in into[dom[f]]:
+            if not rd >> h & 1:
+                A |= 1 << comp[h][f]
+        out.append((1 << f, A))
+    return out
+
+
+def _negation(neg, R):
+    """The negation of the closed sieve R, read off ``neg``: the arrows
+    f with f*(R) = r_{dom f}."""
     V = 0
-    for f in C._into[ci]:
-        d = C._dom[f]
-        fR = C._pull(f, R)
-        if fR == rmask[d]:
-            V |= 1 << f
-            continue
-        ok = memo.get((d, fR))
-        if ok is None:
-            ok = memo[d, fR] = all(
-                C._pull(g, fR) != rmask[C._dom[g]] or rmask[d] >> g & 1
-                for g in C._into[d]
-            )
-        if ok:
-            V |= 1 << f
+    for bit, A in neg:
+        if not A & R:
+            V |= bit
     return V
 
 
-def _boolean_criterion(C, ci, R, rmask, memo):
-    """Arrows f into ``ci`` with f in R or f*(R) = R_d."""
-    V = 0
-    for f in C._into[ci]:
-        if (R >> f & 1) or C._pull(f, R) == rmask[C._dom[f]]:
-            V |= 1 << f
-    return V
+def _demorgan_criterion(neg, R):
+    """The De Morgan criterion sieve of R: the negation of R joined with
+    its double negation.  Since g*(f*(R)) = (g;f)*(R), an arrow f lies in
+    the double negation iff no g;f with g outside r_{dom f} lies in the
+    negation of R."""
+    N = _negation(neg, R)
+    return N | _negation(neg, N)
+
+
+def _boolean_criterion(neg, R):
+    """The excluded-middle criterion sieve of R: R joined with its
+    negation."""
+    return R | _negation(neg, R)
 
 
 def _general_witness(C, J, criteria, max_arrows_into):
     """For each of ``criteria``, the first (object, closed sieve R,
     criterion sieve of R) whose criterion sieve does not cover, in
     object and sieve order, or None if every one covers.  Each object's
-    closed sieves are listed once, and no object is visited once every
-    criterion has its witness."""
+    closed sieves and negation masks are listed once, and no object is
+    visited once every criterion has its witness."""
     C = _same_category(C, J)
     least = J._least
     rmask = _r_masks(C, least)
     found = [None] * len(criteria)
-    memos = [{} for _ in criteria]
     for ci in range(len(C.objects)):
         if None not in found:
             break
         K = least[ci]
         closed = list(_closed_masks(C, least, ci, max_arrows_into))
+        neg = _negation_masks(C, rmask, ci)
         for k, criterion in enumerate(criteria):
             if found[k] is not None:
                 continue
             for R in closed:
-                V = criterion(C, ci, R, rmask, memos[k])
+                V = criterion(neg, R)
                 if K & ~V:
                     found[k] = (
                         C.objects[ci], _from_mask(C, ci, R),
@@ -571,10 +591,10 @@ def is_demorgan_general(
 ) -> bool:
     """De Morgan test via the subobject-classifier criterion.
 
-    For every object c and closed sieve R on c, the sieve of arrows f
-    with f*(R) = R_d, or with every further pullback hitting R_e only
-    inside R_d, must cover c.  Works for arbitrary topologies, empty
-    covers included.
+    For every object c and closed sieve R on c, the sieve ¬R ∪ ¬¬R must
+    cover c.  Each negation is read off one mask per arrow into c
+    (``_negation_masks``), with no pullback.  Works for arbitrary
+    topologies, empty covers included.
     """
     found = _general_witness(C, J, (_demorgan_criterion,), max_arrows_into)
     return found[0] is None
@@ -587,7 +607,8 @@ def is_boolean_general(
     max_arrows_into: int = 16,
 ) -> bool:
     """Excluded-middle test: for every closed sieve R on every object,
-    the arrows with f*(R) = R_d or f in R must form a covering sieve."""
+    the sieve R ∪ ¬R must cover, with ¬R read off one mask per arrow
+    (``_negation_masks``)."""
     found = _general_witness(C, J, (_boolean_criterion,), max_arrows_into)
     return found[0] is None
 

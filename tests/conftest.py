@@ -18,9 +18,12 @@ from demorgan.sieves import _b_mask, _from_mask, _m_mask
 from demorgan.subobjects import _oracle, oracle_is_boolean, oracle_is_demorgan
 from demorgan.topology import (
     _boolean_criterion,
+    _closed_masks,
     _demorgan_criterion,
     _general_witness,
+    _negation_masks,
     _principal_witness,
+    _r_masks,
     boolean_counterexample,
     booleanize_site,
     demorgan_counterexample,
@@ -35,6 +38,9 @@ from demorgan.topology import (
 
 from oracles import (
     cover_sets,
+    naive_boolean_criterion,
+    naive_closure,
+    naive_demorgan_criterion,
     naive_implication,
     naive_is_boolean,
     naive_is_de_morgan,
@@ -107,6 +113,32 @@ def assert_paired_sweeps_match(C, J, bound=16):
         outcome(oracle_is_demorgan, C, J, max_arrows_into=bound),
         outcome(oracle_is_boolean, C, J, max_arrows_into=bound),
     )
+
+
+def assert_closed_listing_matches_naive(C, J, bound=16):
+    """``_closed_masks`` lists, in sieve order, exactly the sieves R with
+    ``naive_closure(R) == R``: no arrow it leaves untested breaks
+    closure."""
+    for ci, c in enumerate(C.objects):
+        sieves = [(R, _from_mask(C, ci, R)) for R in C._sieve_masks(ci, bound)]
+        closed = [R for R, S in sieves if naive_closure(C, J, S) == S]
+        assert list(_closed_masks(C, J._least, ci, bound)) == closed, c
+
+
+def assert_criteria_match_naive(C, J, bound=16):
+    """On every closed sieve of every object, the criterion sieves read
+    off the negation masks equal those computed by pullbacks."""
+    rmask = _r_masks(C, J._least)
+    for ci in range(len(C.objects)):
+        neg = _negation_masks(C, rmask, ci)
+        memo_dm, memo_bl = {}, {}
+        for R in _closed_masks(C, J._least, ci, bound):
+            assert _demorgan_criterion(neg, R) == naive_demorgan_criterion(
+                C, ci, R, rmask, memo_dm
+            )
+            assert _boolean_criterion(neg, R) == naive_boolean_criterion(
+                C, ci, R, rmask, memo_bl
+            )
 
 
 def _saturated_join(C, covers, other):

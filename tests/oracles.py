@@ -17,9 +17,12 @@ filters every product of per-object up-sets with the same axiom scans,
 no violation (with ``saturated_dense`` and ``saturated_demorgan``, the
 dense and De Morgan topologies by their definitions), and
 ``fixset_search_nuclei`` tests every candidate fixset and checks each
-result with ``validate_nucleus``.  ``sequential_report`` is the reference for
-``report``'s paired sweeps: the six public decision routes, called one
-law and one route at a time.
+result with ``validate_nucleus``.  ``naive_demorgan_criterion`` and
+``naive_boolean_criterion`` compute the general criteria on the
+package's sieve masks by pullbacks, as the package did before it read
+negations off per-arrow masks.  ``sequential_report`` is the reference
+for ``report``'s paired sweeps: the six public decision routes, called
+one law and one route at a time.
 """
 
 import itertools
@@ -114,6 +117,37 @@ def naive_closure(C, J, R):
         if J.contains(naive_pullback(C, f, R)):
             members.add(f)
     return Sieve(R.base, members)
+
+
+def naive_demorgan_criterion(C, ci, R, rmask, memo):
+    """Arrows f into ``ci`` with f*(R) = R_d, or for which every g with
+    g*(f*(R)) = R_e lies in R_d.  The second test reads only d and
+    f*(R), so ``memo`` keeps its answer per (d, f*(R)) for the sweep."""
+    V = 0
+    for f in C._into[ci]:
+        d = C._dom[f]
+        fR = C._pull(f, R)
+        if fR == rmask[d]:
+            V |= 1 << f
+            continue
+        ok = memo.get((d, fR))
+        if ok is None:
+            ok = memo[d, fR] = all(
+                C._pull(g, fR) != rmask[C._dom[g]] or rmask[d] >> g & 1
+                for g in C._into[d]
+            )
+        if ok:
+            V |= 1 << f
+    return V
+
+
+def naive_boolean_criterion(C, ci, R, rmask, memo):
+    """Arrows f into ``ci`` with f in R or f*(R) = R_d."""
+    V = 0
+    for f in C._into[ci]:
+        if (R >> f & 1) or C._pull(f, R) == rmask[C._dom[f]]:
+            V |= 1 << f
+    return V
 
 
 def naive_is_mono(C, r):

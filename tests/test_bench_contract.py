@@ -124,10 +124,16 @@ def _frontier_member(workloads, family, k):
     return validate_category(data), tally
 
 
-def test_frontier_member_passes_its_gates(workloads):
-    # every route decides then-wins k = 4 under all three topologies
-    _, tally = _frontier_member(workloads, "then_wins", 4)
-    assert tally.sites == 3 and tally.refused == 0
+@pytest.mark.parametrize("family, k, refused", [
+    ("then_wins", 4, 0), ("then_wins", 15, 6), ("wide", 15, 6),
+    ("chain", 16, 0),
+])
+def test_frontier_member_passes_its_gates(workloads, family, k, refused):
+    # every route decides then-wins k = 4 under all three topologies; at
+    # the sieve bound the general route decides too, and only the oracle
+    # refuses, once per law on each site, where its carrier is too large
+    _, tally = _frontier_member(workloads, family, k)
+    assert tally.sites == 3 and tally.refused == refused
 
 
 @pytest.mark.parametrize("family, k", [

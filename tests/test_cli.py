@@ -150,6 +150,19 @@ def test_topology_validate_rejects_non_topology(tmp_path, capsys):
     assert out.startswith("invalid")
 
 
+@pytest.mark.parametrize("argv", [
+    ("dense-topology",), ("demorgan-topology",), ("demorganize",),
+    ("booleanize",), ("topology", "generate"),
+])
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, target):
+    # a missing directory or a directory as the target is a clean refusal
+    out_path = tmp_path / target
+    code, _, err = run(capsys, *argv, DATA / "cspan_fg.json", "-o", out_path)
+    assert code == 2
+    assert f"cannot write {out_path}" in err
+
+
 def test_dense_and_demorgan_topology_commands(capsys):
     code, out, _ = run(capsys, "dense-topology", DATA / "cspan.json", "--json")
     dense = json.loads(out)["covers"]

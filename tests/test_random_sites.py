@@ -8,8 +8,9 @@ the one built from its definition; each repair must lie above the
 reduced site's topology, satisfy its law, and equal that topology
 exactly when the law already holds; the principal sieves must
 generate the De Morgan and dense topologies; each route's paired
-sweep over both laws must return its two single-law results; and the
-least-cover builders must give the covers that saturating over every
+sweep over both laws must return its two single-law results; closed
+sieves and criterion sieves must be those of the pullback-form
+oracles; the least-cover builders must give the covers that saturating over every
 sieve gives; and pulling a sieve back along an arrow must give the
 arrows whose composite with it lies in the sieve.
 """
@@ -39,6 +40,8 @@ from demorgan.topology import (
 
 from conftest import (
     assert_builders_match_saturation,
+    assert_closed_listing_matches_naive,
+    assert_criteria_match_naive,
     assert_paired_sweeps_match,
 )
 from oracles import naive_pullback, naive_reduced_site, principal_topology
@@ -175,3 +178,17 @@ def test_pullback_matches_composites(site):
     C, S = site
     for f in sorted(C.arrows_into(S.base)):
         assert pullback_sieve(C, f, S) == naive_pullback(C, f, S)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(concrete_sites())
+def test_criteria_and_closed_listing_match_naive(site):
+    # a sieve-generated topology may cover objects by the empty sieve,
+    # where A_f differs from the principal sieve (f)
+    C, S = site
+    for J in (
+        trivial_topology(C), dense_topology(C), demorgan_topology(C),
+        generate_topology(C, [S]),
+    ):
+        assert_closed_listing_matches_naive(C, J, MAX_ARROWS_INTO)
+        assert_criteria_match_naive(C, J, MAX_ARROWS_INTO)

@@ -47,7 +47,11 @@ from demorgan.topology import (
     validate_topology,
 )
 
-from conftest import assert_builders_match_saturation
+from conftest import (
+    assert_builders_match_saturation,
+    assert_closed_listing_matches_naive,
+    assert_criteria_match_naive,
+)
 from oracles import (
     all_sieves_on,
     naive_closure,
@@ -536,6 +540,25 @@ def test_builders_match_saturation_over_catalog(fixtures, site_enumeration):
             (ci, m) for ci in range(len(C.objects)) for m in C._sieve_masks(ci)
         ]
         assert_builders_match_saturation(C, tops, seeds)
+
+
+def test_criteria_match_pullback_form_over_catalog(fixtures, site_enumeration):
+    # every closed sieve of every object of every fixture and catalog4
+    # site: the criterion sieves read off the negation masks are the
+    # pullback-form ones
+    cats = [(C, enumerate_topologies(C)) for C in fixtures.values()]
+    for C, tops in cats + site_enumeration:
+        for J in tops:
+            assert_criteria_match_naive(C, J)
+
+
+def test_closed_listing_matches_naive_closure_over_catalog(
+    fixtures, site_enumeration
+):
+    cats = [(C, enumerate_topologies(C)) for C in fixtures.values()]
+    for C, tops in cats + site_enumeration:
+        for J in tops:
+            assert_closed_listing_matches_naive(C, J)
 
 
 def test_enumeration_bound_on_sieve_product():
