@@ -281,13 +281,13 @@ def _cmd_sieves(args):
 def _cmd_topology_validate(args):
     data = _load_site(args.site)
     C = validate_category(data)
-    covers = {}
-    for obj in C.objects:
-        entries = [
-            generate_sieve(C, obj, gens)
-            for gens in data.get("covers", {}).get(obj, [])
-        ]
-        covers[obj] = entries + [maximal_sieve(C, obj)]
+    # covers on an unknown object are refused, as by the other commands
+    listed = {**dict.fromkeys(C.objects, []), **data.get("covers", {})}
+    covers = {
+        obj: [generate_sieve(C, obj, gens) for gens in gen_lists]
+        + [maximal_sieve(C, obj)]
+        for obj, gen_lists in listed.items()
+    }
     try:
         validate_topology(C, covers)
     except InputError as exc:

@@ -188,7 +188,8 @@ class FiniteCategory:
         """Store unchecked object and arrow tables (``-1`` marks a pair
         that does not compose; the identities come first, in object
         order) and derive the name maps, the arrows into each object and
-        the generated sieves."""
+        the principal sieves: (f) holds the composites g;f of the arrows
+        g into dom(f)."""
         self.objects: tuple = tuple(objects)
         self.arrows: dict = {
             f: (objects[d], objects[c]) for f, d, c in zip(anames, dom, cod)
@@ -207,16 +208,9 @@ class FiniteCategory:
             into[c].append(f)
         self._into = tuple(tuple(fs) for fs in into)
         self._into_mask = tuple(sum(1 << f for f in fs) for fs in into)
-        gen, pulls = [], []
-        for f, d in enumerate(dom):
-            preimage: dict = {}
-            for g in into[d]:
-                bit = 1 << comp[g][f]
-                preimage[bit] = preimage.get(bit, 0) | 1 << g
-            gen.append(sum(preimage))
-            pulls.append(tuple(preimage.items()))
-        self._gen = tuple(gen)
-        self._pulls = tuple(pulls)
+        self._gen = tuple(
+            sum({1 << comp[g][f] for g in into[d]}) for f, d in enumerate(dom)
+        )
         self._sieve_cache: dict = {}
         self._hash = hash(
             (frozenset(self.objects), frozenset(self.arrows.items()))
@@ -349,11 +343,14 @@ class FiniteCategory:
 
     def _pull(self, f: int, mask: int) -> int:
         """Pullback of the sieve ``mask`` along arrow index ``f``: the
-        preimage of ``mask`` under g -> g;f, one entry per composite."""
+        arrows g into dom(f) with g;f in ``mask``.  A caller that only
+        asks whether it covers or is empty reads the composites or the
+        principal sieves instead."""
+        comp = self._comp
         out = 0
-        for bit, arrows in self._pulls[f]:
-            if mask & bit:
-                out |= arrows
+        for g in self._into[self._dom[f]]:
+            if mask >> comp[g][f] & 1:
+                out |= 1 << g
         return out
 
     def _is_sieve_mask(self, ci: int, mask: int) -> bool:
@@ -438,22 +435,15 @@ def is_mono(C: FiniteCategory, r: str) -> bool:
 def ore_counterexample(C: FiniteCategory):
     """A cospan f: a -> c <- b :g with no completing square, as the
     names ``(f, g)``, or None when ``C`` satisfies the right Ore
-    condition.
+    condition.  The first such pair in arrow order is returned.
 
-    Brute force over all candidate pairs (u, v) with u;f == v;g.
+    A square u;f == v;g is an arrow in both principal sieves (f) and
+    (g), so the cospan completes iff they meet.
     """
-    n = len(C._anames)
-    comp = C._comp
-    for f in range(n):
-        for g in range(n):
-            if C._cod[f] != C._cod[g]:
-                continue
-            if not any(
-                comp[u][f] == comp[v][g]
-                for u in C._into[C._dom[f]]
-                for v in C._into[C._dom[g]]
-                if C._dom[u] == C._dom[v]
-            ):
+    gen = C._gen
+    for f in range(len(C._anames)):
+        for g in C._into[C._cod[f]]:
+            if not gen[f] & gen[g]:
                 return C._anames[f], C._anames[g]
     return None
 

@@ -280,19 +280,10 @@ def from_poset(elements, leq=None) -> HeytingAlgebra:
         if b not in idx:
             raise UnknownElement(f"unknown element {b!r} in order relation")
         up[idx[a]] |= 1 << idx[b]
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):
         for i in range(n):
-            acc = up[i]
-            rest = acc
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                acc |= up[bit.bit_length() - 1]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+            if up[i] >> k & 1:
+                up[i] |= up[k]
     H = HeytingAlgebra(elements, transpose(up))
     H._implications()
     return H

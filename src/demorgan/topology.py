@@ -205,7 +205,7 @@ def validate_topology(C: FiniteCategory, covers) -> GrothendieckTopology:
         least = _least_in(C, covers)
         for ci, K in enumerate(least):
             for f in C._into[ci]:
-                if least[C._dom[f]] & ~C._pull(f, K):
+                if _through_least(C, least, f) & ~K:
                     raise _not_stable(C, ci, K, f)
     else:
         masks = [set() for _ in C.objects]
@@ -685,7 +685,9 @@ def countroc_witness(
     C: FiniteCategory, J: GrothendieckTopology
 ) -> Optional[tuple]:
     """A witness (c, f, g) that the site cannot satisfy De Morgan's law:
-    an object whose only cover is maximal, with f*((g)) empty.
+    an object whose only cover is maximal, with f*((g)) empty, that is
+    with (f) and (g) disjoint.  The first in object, then arrow, order
+    is returned.
 
     Requires a topology with no empty covers.
     """
@@ -698,6 +700,6 @@ def countroc_witness(
         incoming = C._into[ci]
         for f in incoming:
             for g in incoming:
-                if not C._pull(f, C._gen[g]):
+                if not C._gen[f] & C._gen[g]:
                     return C.objects[ci], C._anames[f], C._anames[g]
     return None

@@ -11,7 +11,7 @@ from demorgan.catalog import (
     enumerate_heyting_algebras,
 )
 from demorgan.errors import BoundExceeded, EmptyReduction
-from demorgan.fincat import FiniteCategory
+from demorgan.fincat import FiniteCategory, ore_counterexample
 from demorgan.fixtures import category_fixtures, frame_fixtures
 from demorgan.heyting import is_boolean_algebra, is_de_morgan_algebra
 from demorgan.sieves import _b_mask, _from_mask, _m_mask
@@ -26,6 +26,7 @@ from demorgan.topology import (
     _r_masks,
     boolean_counterexample,
     booleanize_site,
+    countroc_witness,
     demorgan_counterexample,
     demorgan_topology,
     demorganize_site,
@@ -33,6 +34,7 @@ from demorgan.topology import (
     enumerate_topologies,
     generate_topology,
     join_topology,
+    no_empty_covers,
     reduced_site,
 )
 
@@ -44,6 +46,7 @@ from oracles import (
     naive_implication,
     naive_is_boolean,
     naive_is_de_morgan,
+    naive_open_cospans,
     saturate_covers,
     saturated_demorgan,
     saturated_dense,
@@ -179,6 +182,29 @@ def assert_builders_match_saturation(C, tops, seeds=()):
         )
         assert cover_sets(booleanize_site(C, J)) == (
             _saturated_join(Ct, cover_sets(Jt), t_dense)
+        )
+
+
+def assert_square_witnesses_in_order(C, tops):
+    """``ore_counterexample`` gives the first cospan with no square in
+    arrow-index order, and ``countroc_witness`` on each topology of
+    ``tops`` with no empty cover the first (c, f, g) in object, then
+    arrow, order with c covered only by its maximal sieve."""
+    open_cospans = naive_open_cospans(C)
+    assert ore_counterexample(C) == next(iter(open_cospans), None)
+    for J in tops:
+        if not no_empty_covers(J):
+            continue
+        covers = cover_sets(J)
+        assert countroc_witness(C, J) == next(
+            (
+                (c, f, g)
+                for ci, c in enumerate(C.objects)
+                if covers[ci] == {C._into_mask[ci]}
+                for f, g in open_cospans
+                if C.cod(f) == c
+            ),
+            None,
         )
 
 

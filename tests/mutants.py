@@ -63,9 +63,27 @@ MUTANTS = {
     ),
     "validate-without-least-cover-stability": (
         "topology.py",
-        "                if least[C._dom[f]] & ~C._pull(f, K):",
+        "                if _through_least(C, least, f) & ~K:",
         "                if False:",
         [T + "test_validate_checks_least_covers"],
+    ),
+    "ore-square-test-reads-union": (
+        "fincat.py",
+        "            if not gen[f] & gen[g]:",
+        "            if not gen[f] | gen[g]:",
+        [T + "test_square_witnesses_in_order"],
+    ),
+    "countroc-square-test-reads-union": (
+        "topology.py",
+        "                if not C._gen[f] & C._gen[g]:",
+        "                if not C._gen[f] | C._gen[g]:",
+        [T + "test_square_witnesses_in_order"],
+    ),
+    "pull-reads-the-arrow-not-its-composite": (
+        "fincat.py",
+        "            if mask >> comp[g][f] & 1:",
+        "            if mask >> g & 1:",
+        [R + "test_pullback_matches_composites"],
     ),
     "shrink-without-idempotence": (
         "topology.py",

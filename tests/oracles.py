@@ -175,6 +175,18 @@ def naive_completes(C, f, g):
     return False
 
 
+def naive_open_cospans(C):
+    """Every cospan (f, g) with no square by ``naive_completes``, f then
+    g in arrow-index order."""
+    names = C._anames
+    return [
+        (f, g)
+        for f in names
+        for g in names
+        if C.cod(f) == C.cod(g) and not naive_completes(C, f, g)
+    ]
+
+
 def naive_right_ore(C):
     arrows = sorted(C.arrows)
     return all(

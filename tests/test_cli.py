@@ -444,13 +444,15 @@ _ARROW_F = {"name": "f", "dom": "a", "cod": "c"}
     (("frame", "classify", "DOC"), {"elements": ["0", "1"], "leq": [["0"]]}),
     (("demorganize", "DOC"), {"objects": ["a"], "covers": {"a": [[]]}}),
     (("booleanize", "DOC"), {"objects": ["a"], "covers": {"a": [[]]}}),
+    (("topology", "validate", "DOC"),
+     {"objects": ["a"], "covers": {"zzz": [["id_a"]]}}),
 ], ids=[
     "covers-list", "topology-validate-covers-list",
     "topology-file-covers-list", "topology-file-bare-list",
     "arrow-without-cod", "integer-objects", "string-objects",
     "string-generators", "not-an-object", "frame-without-leq",
     "frame-short-pair", "demorganize-no-reduced-site",
-    "booleanize-no-reduced-site",
+    "booleanize-no-reduced-site", "topology-validate-unknown-object",
 ])
 def test_malformed_document_exits_2(tmp_path, capsys, argv, document):
     doc = tmp_path / "doc.json"

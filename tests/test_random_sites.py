@@ -43,6 +43,7 @@ from conftest import (
     assert_closed_listing_matches_naive,
     assert_criteria_match_naive,
     assert_paired_sweeps_match,
+    assert_square_witnesses_in_order,
 )
 from oracles import naive_pullback, naive_reduced_site, principal_topology
 
@@ -173,8 +174,8 @@ def test_least_cover_builders_match_saturation(site):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(concrete_sites())
 def test_pullback_matches_composites(site):
-    # random functions send many arrows g to one composite g;f, which
-    # the per-arrow preimage tables must all keep
+    # random functions send many arrows g to one composite g;f, and the
+    # pullback must keep every one of them
     C, S = site
     for f in sorted(C.arrows_into(S.base)):
         assert pullback_sieve(C, f, S) == naive_pullback(C, f, S)
@@ -192,3 +193,12 @@ def test_criteria_and_closed_listing_match_naive(site):
     ):
         assert_closed_listing_matches_naive(C, J, MAX_ARROWS_INTO)
         assert_criteria_match_naive(C, J, MAX_ARROWS_INTO)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(concrete_sites())
+def test_square_witnesses_in_order(site):
+    C, S = site
+    assert_square_witnesses_in_order(
+        C, (trivial_topology(C), dense_topology(C), generate_topology(C, [S]))
+    )

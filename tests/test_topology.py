@@ -51,6 +51,7 @@ from conftest import (
     assert_builders_match_saturation,
     assert_closed_listing_matches_naive,
     assert_criteria_match_naive,
+    assert_square_witnesses_in_order,
 )
 from oracles import (
     all_sieves_on,
@@ -589,3 +590,10 @@ def test_countroc_examples(fixtures):
     K = generate_topology(C, [empty_sieve(C, "a")])
     with pytest.raises(InputError):
         countroc_witness(C, K)
+
+
+def test_square_witnesses_in_order(fixtures, site_enumeration):
+    for C in fixtures.values():
+        assert_square_witnesses_in_order(C, enumerate_topologies(C))
+    for C, tops in site_enumeration:
+        assert_square_witnesses_in_order(C, tops)
